@@ -41,14 +41,26 @@ pub fn write_bits(buffer: &mut [u8], bit_offset: usize, value: u64, bits: u32) {
 
 /// Reads `bits` bits starting at `bit_offset` as one 128-bit window
 /// shift/mask; the exact inverse of [`write_bits`].
+///
+/// When a full 16-byte window starting at the field's first byte lies
+/// inside `buffer`, it is loaded as one fixed-size `u128`; bytes past the
+/// field's span are masked off, so the result is identical to reading
+/// only the span. Near the end of the buffer the span is copied into a
+/// zero-padded window instead.
 pub fn read_bits(buffer: &[u8], bit_offset: usize, bits: u32) -> u64 {
     debug_assert!(bits <= 64);
     let first = bit_offset / 8;
     let shift = bit_offset % 8;
-    let span = (shift + bits as usize).div_ceil(8);
-    let mut window = [0u8; 16];
-    window[..span].copy_from_slice(&buffer[first..first + span]);
-    ((u128::from_le_bytes(window) >> shift) & low_mask(bits)) as u64
+    let window = match buffer.get(first..first + 16) {
+        Some(bytes) => u128::from_le_bytes(bytes.try_into().expect("a 16-byte slice")),
+        None => {
+            let span = (shift + bits as usize).div_ceil(8);
+            let mut window = [0u8; 16];
+            window[..span].copy_from_slice(&buffer[first..first + span]);
+            u128::from_le_bytes(window)
+        }
+    };
+    ((window >> shift) & low_mask(bits)) as u64
 }
 
 /// Encodes a PVTable set into its packed one-block representation.

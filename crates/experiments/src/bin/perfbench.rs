@@ -400,7 +400,7 @@ fn bench_stats_record(iters: u64) -> f64 {
 
 /// The L2-MSHR per-miss sequence (retire + lookup + register) with the
 /// cached-earliest early exit: on the common nothing-has-completed path
-/// each retire is a single compare instead of a map scan.
+/// each retire is a single compare instead of a scan of the file.
 fn bench_mshr_cycle(iters: u64) -> f64 {
     let mut mshr = MshrFile::new(64);
     let mut state = 0x3c6e_f372_fe94_f82bu64;

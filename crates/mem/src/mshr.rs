@@ -5,9 +5,14 @@
 //! the in-flight request instead of generating duplicate traffic. Both the
 //! L1/L2 caches and the PVProxy use this structure (the paper's PVProxy
 //! contains "an MSHR-like structure").
+//!
+//! The file is a flat `Vec` searched linearly. Its occupancy is capped at
+//! the configured entry count (4 for the PVProxy, 16 per L1, 64 for the L2
+//! in the paper's configuration), so a scan of adjacent [`MshrEntry`]s is
+//! cheaper than hashing the block address on every lookup, merge and
+//! allocation.
 
 use crate::address::BlockAddr;
-use std::collections::HashMap;
 
 /// One outstanding fill.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,10 +45,11 @@ pub enum MshrOutcome {
 #[derive(Debug, Clone)]
 pub struct MshrFile {
     capacity: usize,
-    entries: HashMap<u64, MshrEntry>,
+    /// Live entries, at most one per block, in no particular order.
+    entries: Vec<MshrEntry>,
     /// Cached minimum `ready_at` over `entries` (`u64::MAX` when empty), so
     /// the per-miss [`Self::retire`] call is a single compare on the common
-    /// nothing-has-completed-yet path instead of a full map scan. Updated
+    /// nothing-has-completed-yet path instead of a full scan. Updated
     /// on insert (`min`), recomputed only when entries actually retire.
     earliest: u64,
     /// Peak simultaneous occupancy, for reporting.
@@ -58,14 +64,10 @@ impl MshrFile {
     /// Creates an MSHR file with `capacity` entries.
     ///
     /// Occupancy is hard-capped at `capacity` ([`Self::register`] reports
-    /// [`MshrOutcome::Full`] instead of growing), so pre-sizing the map
-    /// here means it never reallocates afterwards — the access hot path
-    /// stays allocation-free (pinned by `tests/tests/alloc_free.rs`).
-    /// The reservation is 2× the cap because the std `HashMap` leaves
-    /// tombstones behind removals and only rehashes in place (rather than
-    /// growing) when live items fit in half the table; twice the cap keeps
-    /// every retire/insert churn pattern under that threshold, whatever
-    /// the per-process hash seed scatters where.
+    /// [`MshrOutcome::Full`] instead of pushing), so the entry `Vec`
+    /// reserved here at exactly `capacity` never reallocates afterwards —
+    /// the access hot path stays allocation-free (pinned by
+    /// `tests/tests/alloc_free.rs`).
     ///
     /// # Panics
     ///
@@ -74,7 +76,7 @@ impl MshrFile {
         assert!(capacity > 0, "an MSHR file needs at least one entry");
         MshrFile {
             capacity,
-            entries: HashMap::with_capacity(capacity * 2),
+            entries: Vec::with_capacity(capacity),
             earliest: u64::MAX,
             peak_occupancy: 0,
             merges: 0,
@@ -109,18 +111,18 @@ impl MshrFile {
 
     /// Drops entries whose fills have completed by `now`. The cached
     /// earliest completion makes the common no-entry-has-completed case a
-    /// single compare; the map is only scanned when something retires.
+    /// single compare; the entries are only scanned when something retires.
     pub fn retire(&mut self, now: u64) {
         if self.earliest > now {
             return;
         }
-        self.entries.retain(|_, entry| entry.ready_at > now);
-        self.earliest = self.entries.values().map(|entry| entry.ready_at).min().unwrap_or(u64::MAX);
+        self.entries.retain(|entry| entry.ready_at > now);
+        self.earliest = self.entries.iter().map(|entry| entry.ready_at).min().unwrap_or(u64::MAX);
     }
 
     /// Looks up an in-flight fill for `block`.
     pub fn lookup(&self, block: BlockAddr) -> Option<&MshrEntry> {
-        self.entries.get(&block.raw())
+        self.entries.iter().find(|entry| entry.block == block)
     }
 
     /// The completion cycle of the entry that will retire first, or `None`
@@ -153,7 +155,7 @@ impl MshrFile {
     /// that the file is full.
     pub fn register(&mut self, block: BlockAddr, now: u64, ready_at: u64) -> MshrOutcome {
         self.retire(now);
-        if let Some(entry) = self.entries.get_mut(&block.raw()) {
+        if let Some(entry) = self.entries.iter_mut().find(|entry| entry.block == block) {
             entry.merged += 1;
             self.merges += 1;
             return MshrOutcome::Merged {
@@ -164,14 +166,11 @@ impl MshrFile {
             self.full_stalls += 1;
             return MshrOutcome::Full;
         }
-        self.entries.insert(
-            block.raw(),
-            MshrEntry {
-                block,
-                ready_at,
-                merged: 1,
-            },
-        );
+        self.entries.push(MshrEntry {
+            block,
+            ready_at,
+            merged: 1,
+        });
         self.earliest = self.earliest.min(ready_at);
         self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
         MshrOutcome::Allocated

@@ -1,12 +1,15 @@
 //! Streaming decoder that replays a recorded trace as an [`AccessStream`].
 //!
 //! Decoding is allocation-free after construction: the stream borrows no
-//! intermediate buffers and unpacks each record directly from the trace
-//! bytes with `pv_core::packing::read_bits` (the same 128-bit window the
-//! encoder used). The header is validated up front — bad magic, unknown
-//! versions, malformed layouts, and truncated bodies are all rejected
-//! before the first record is produced — so the hot path contains no
-//! error handling at all.
+//! intermediate buffers and unpacks each record directly from its 64-byte
+//! block with `pv_core::packing::read_bits` (the same 128-bit window the
+//! encoder used). A field whose first byte is among the block's first 49
+//! is read as one fixed-size `u128` load of the 16 bytes from there; only
+//! fields starting in the last 15 bytes go through a zero-padded copy.
+//! The header is validated up front — bad magic, unknown versions,
+//! malformed layouts, and truncated bodies are all rejected before the
+//! first record is produced — so the hot path contains no error handling
+//! at all.
 
 use crate::format::{decode_at, TraceError, TraceHeader};
 use pv_workloads::{AccessStream, TraceRecord};

@@ -8,6 +8,9 @@
 //! [`packing::reference`]; here both generations are driven with identical
 //! seeded random op streams and must agree on every observable: hits,
 //! misses, evicted victims, occupancy, and bit-exact packed block layouts.
+//! The flat [`MshrFile`] is checked the same way against an ordered-map
+//! model written here, and `read_bits` against the reference at every
+//! width, shift and block edge.
 
 use pv_core::{decode_set, encode_set, packing, PvLayout, PvSet, RawEntry};
 use pv_mem::{ReferenceSetAssociative, ReplacementKind, SetAssociative};
@@ -306,6 +309,187 @@ fn queued_dram_service_matches_the_reference_inflight_queue() {
                     reference.reset_timing();
                     now = 0;
                 }
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// MSHR file: the flat linear-search file against an ordered-map model.
+// ---------------------------------------------------------------------------
+
+use pv_mem::{BlockAddr, MshrEntry, MshrFile, MshrOutcome};
+use std::collections::BTreeMap;
+
+/// An obviously-correct MSHR file: live fills keyed by block in a
+/// `BTreeMap`, every query a direct scan with no cached state.
+struct ModelMshr {
+    capacity: usize,
+    entries: BTreeMap<u64, MshrEntry>,
+    peak_occupancy: usize,
+    merges: u64,
+    full_stalls: u64,
+}
+
+impl ModelMshr {
+    fn new(capacity: usize) -> Self {
+        ModelMshr {
+            capacity,
+            entries: BTreeMap::new(),
+            peak_occupancy: 0,
+            merges: 0,
+            full_stalls: 0,
+        }
+    }
+
+    fn retire(&mut self, now: u64) {
+        self.entries.retain(|_, entry| entry.ready_at > now);
+    }
+
+    fn earliest_ready(&self) -> Option<u64> {
+        self.entries.values().map(|entry| entry.ready_at).min()
+    }
+
+    fn wait_for_slot(&mut self, now: u64) -> u64 {
+        if self.entries.len() < self.capacity {
+            return 0;
+        }
+        let start = now.max(self.earliest_ready().expect("a full file is not empty"));
+        self.retire(start);
+        start - now
+    }
+
+    fn register(&mut self, block: BlockAddr, now: u64, ready_at: u64) -> MshrOutcome {
+        self.retire(now);
+        if let Some(entry) = self.entries.get_mut(&block.raw()) {
+            entry.merged += 1;
+            self.merges += 1;
+            return MshrOutcome::Merged {
+                ready_at: entry.ready_at,
+            };
+        }
+        if self.entries.len() >= self.capacity {
+            self.full_stalls += 1;
+            return MshrOutcome::Full;
+        }
+        let entry = MshrEntry {
+            block,
+            ready_at,
+            merged: 1,
+        };
+        self.entries.insert(block.raw(), entry);
+        self.peak_occupancy = self.peak_occupancy.max(self.entries.len());
+        MshrOutcome::Allocated
+    }
+}
+
+/// Seeded op streams (register / lookup / retire / wait-for-slot, rare
+/// clears) over a block pool about twice the capacity, with fill
+/// latencies long enough to keep the file near full and timestamps that
+/// occasionally step back (requester clocks are not globally ordered).
+/// After every op the flat file and the model agree on the op's result,
+/// occupancy, earliest completion and every counter; each capacity must
+/// see merges, full stalls, draining waits and clears.
+#[test]
+fn flat_mshr_file_matches_an_ordered_map_model() {
+    for capacity in [1usize, 4, 16, 64] {
+        for seed in 0..4u64 {
+            let mut rng = StdRng::seed_from_u64(0xD1FF_5000 ^ (seed << 8) ^ capacity as u64);
+            let mut flat = MshrFile::new(capacity);
+            let mut model = ModelMshr::new(capacity);
+            let pool = 2 * capacity as u64 + 2;
+            let max_latency = 16 * capacity as u64 + 16;
+            let (mut drains, mut clears) = (0u32, 0u32);
+            let mut now = 0u64;
+            for op in 0..6_000u32 {
+                now = (now + rng.gen_range(0u64..8)).saturating_sub(rng.gen_range(0u64..3));
+                let block = BlockAddr::new(rng.gen_range(0..pool));
+                let context = format!("op {op} (capacity {capacity}, seed {seed}, now {now})");
+                match rng.gen_range(0u32..100) {
+                    0..=49 => {
+                        let ready_at = now + rng.gen_range(1..=max_latency);
+                        assert_eq!(
+                            flat.register(block, now, ready_at),
+                            model.register(block, now, ready_at),
+                            "register diverged at {context}"
+                        );
+                    }
+                    50..=69 => assert_eq!(
+                        flat.lookup(block),
+                        model.entries.get(&block.raw()),
+                        "lookup diverged at {context}"
+                    ),
+                    70..=84 => {
+                        flat.retire(now);
+                        model.retire(now);
+                    }
+                    85..=98 => {
+                        let wait = model.wait_for_slot(now);
+                        assert_eq!(flat.wait_for_slot(now), wait, "wait diverged at {context}");
+                        drains += u32::from(wait > 0);
+                    }
+                    _ => {
+                        flat.clear();
+                        model.entries.clear();
+                        clears += 1;
+                    }
+                }
+                assert_eq!(
+                    (
+                        flat.occupancy(),
+                        flat.earliest_ready(),
+                        flat.peak_occupancy(),
+                        flat.merges(),
+                        flat.full_stalls()
+                    ),
+                    (
+                        model.entries.len(),
+                        model.earliest_ready(),
+                        model.peak_occupancy,
+                        model.merges,
+                        model.full_stalls
+                    ),
+                    "(occupancy, earliest, peak, merges, full stalls) after {context}"
+                );
+            }
+            assert!(
+                model.merges > 0 && model.full_stalls > 0 && drains > 0 && clears > 0,
+                "capacity {capacity}, seed {seed}: the stream must exercise every path \
+                 (merges {}, full stalls {}, draining waits {drains}, clears {clears})",
+                model.merges,
+                model.full_stalls
+            );
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// `read_bits` window edges: the direct 16-byte load and the padded copy
+// near the end of a block, against the bit-at-a-time reference.
+// ---------------------------------------------------------------------------
+
+/// Every width 1..=64 at every in-byte shift 0..=7, at every first byte
+/// where the field still fits the 64-byte block: first bytes up to 48
+/// take the direct 16-byte load, later ones (whose window runs past the
+/// block) the padded fallback, down to fields ending on the final byte.
+#[test]
+fn read_bits_matches_reference_at_every_width_shift_and_block_edge() {
+    let mut rng = StdRng::seed_from_u64(0xD1FF_6000);
+    let block: Vec<u8> = (0..64).map(|_| rng.gen::<u64>() as u8).collect();
+    for bits in 1u32..=64 {
+        for shift in 0usize..8 {
+            let last_first = (64 * 8 - shift - bits as usize) / 8;
+            assert!(
+                last_first + 16 > 64,
+                "every field reaches the fallback region"
+            );
+            for first in 0..=last_first {
+                let offset = first * 8 + shift;
+                assert_eq!(
+                    packing::read_bits(&block, offset, bits),
+                    packing::reference::read_bits(&block, offset, bits),
+                    "bits {bits}, shift {shift}, first byte {first}"
+                );
             }
         }
     }

@@ -56,6 +56,29 @@ fn regenerate_golden_trace() {
     std::fs::write(GOLDEN_PATH, golden_bytes()).expect("write golden trace");
 }
 
+/// `count` seeded records whose fields fill `layout`'s widths.
+fn random_records(rng: &mut StdRng, layout: TraceLayout, count: usize) -> Vec<TraceRecord> {
+    let mask = |bits: u32| {
+        if bits >= 64 {
+            u64::MAX
+        } else {
+            (1u64 << bits) - 1
+        }
+    };
+    (0..count)
+        .map(|_| TraceRecord {
+            pc: rng.gen::<u64>() & mask(layout.pc_bits),
+            address: rng.gen::<u64>() & mask(layout.addr_bits),
+            op: match rng.gen_range(0..3u32) {
+                0 => MemOp::Load,
+                1 => MemOp::Store,
+                _ => MemOp::InstructionFetch,
+            },
+            non_mem_instructions: (rng.gen::<u64>() & mask(layout.imm_bits)) as u32,
+        })
+        .collect()
+}
+
 #[test]
 fn random_records_round_trip_across_random_layouts() {
     let mut rng = StdRng::seed_from_u64(0xC0DEC);
@@ -66,25 +89,8 @@ fn random_records_round_trip_across_random_layouts() {
             imm_bits: rng.gen_range(1..=32),
         };
         layout.validate().expect("drawn layouts are in range");
-        let mask = |bits: u32| {
-            if bits >= 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            }
-        };
-        let records: Vec<TraceRecord> = (0..rng.gen_range(1..200usize))
-            .map(|_| TraceRecord {
-                pc: rng.gen::<u64>() & mask(layout.pc_bits),
-                address: rng.gen::<u64>() & mask(layout.addr_bits),
-                op: match rng.gen_range(0..3u32) {
-                    0 => MemOp::Load,
-                    1 => MemOp::Store,
-                    _ => MemOp::InstructionFetch,
-                },
-                non_mem_instructions: (rng.gen::<u64>() & mask(layout.imm_bits)) as u32,
-            })
-            .collect();
+        let count = rng.gen_range(1..200usize);
+        let records = random_records(&mut rng, layout, count);
         let bytes = encode_records_with_layout(&records, layout, Provenance::default());
         let replay = ReplayStream::new(bytes).expect("encoded trace must parse");
         assert_eq!(replay.header().layout, layout);
@@ -93,6 +99,35 @@ fn random_records_round_trip_across_random_layouts() {
             decoded, records,
             "trial {trial}: layout {layout:?} must round-trip"
         );
+    }
+}
+
+/// Layouts whose records tile a 64-byte block exactly, so the last record
+/// of every block ends on its final byte and its fields are read through
+/// the decoder's near-end-of-block window, full and partial final blocks.
+#[test]
+fn records_ending_on_the_final_block_byte_round_trip() {
+    let mut rng = StdRng::seed_from_u64(0xC0DEC + 1);
+    for (pc_bits, addr_bits, imm_bits) in [(63, 31, 32), (64, 30, 32), (20, 30, 12), (2, 2, 2)] {
+        let layout = TraceLayout {
+            pc_bits,
+            addr_bits,
+            imm_bits,
+        };
+        layout.validate().expect("layout is in range");
+        let per_block = layout.records_per_block();
+        assert_eq!(
+            per_block * layout.record_bits() as usize,
+            64 * 8,
+            "{layout:?} tiles"
+        );
+        for count in [per_block, 3 * per_block, 3 * per_block - 1] {
+            let records = random_records(&mut rng, layout, count);
+            let bytes = encode_records_with_layout(&records, layout, Provenance::default());
+            let decoded: Vec<TraceRecord> =
+                ReplayStream::new(bytes).expect("encoded trace must parse").collect();
+            assert_eq!(decoded, records, "{layout:?}, {count} records");
+        }
     }
 }
 
