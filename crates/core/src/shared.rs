@@ -406,7 +406,7 @@ impl SharedPvProxy {
             );
             self.stats[table].queue_delay_cycles += response.queue_delay;
             let ready = now + response.latency;
-            let _ = self.mshr.register(address.block(), now, ready);
+            let _ = self.mshr.allocate(address.block(), now, ready);
             ready
         };
         if let Some(evicted) = self.cache.insert(table, set_index, false, ready_at) {

@@ -42,11 +42,11 @@
 //! records/sec ratio regresses by more than 25% — or when the
 //! `hierarchy/access_queued` micro regresses by more than 50% against the
 //! baseline's recording, so the contended path cannot silently regress
-//! behind the end-to-end geomean — and digest mismatches are reported as
-//! warnings (behaviour-changing PRs are expected to move them; perf-only
-//! PRs are not). Rows with no baseline counterpart — e.g. the replay-path
-//! row the PR that wrote `BENCH_PR6.json` introduced — are skipped by the
-//! gate.
+//! behind the end-to-end geomean — or when any row's `RunMetrics` digest
+//! differs from the baseline's (a behaviour change must re-record the
+//! baseline instead). Rows with no baseline counterpart — e.g. the
+//! replay-path row against a baseline older than `BENCH_PR6.json` — are
+//! skipped by the gate.
 //!
 //! With `--profile`, a lightweight counter mode runs instead: each hot
 //! component of the Queued access path is timed in isolation behind
@@ -583,33 +583,45 @@ fn geomean(values: &[f64]) -> f64 {
     (values.iter().map(|v| v.ln()).sum::<f64>() / values.len() as f64).exp()
 }
 
+/// The baseline row recorded for the same `(prefetcher, workload)` as `run`.
+fn baseline_row<'a>(run: &EndToEnd, baseline: &'a [BaselineRow]) -> Option<&'a BaselineRow> {
+    baseline
+        .iter()
+        .find(|b| b.prefetcher == run.prefetcher && b.workload == run.workload)
+}
+
 /// Compares the fresh end-to-end rows against a recorded baseline. Returns
 /// the geometric-mean records/sec ratio over matching rows, or `None` when
 /// nothing matches.
 fn check_against(runs: &[EndToEnd], baseline: &[BaselineRow]) -> Option<f64> {
-    let mut ratios = Vec::new();
+    let ratios: Vec<f64> = runs
+        .iter()
+        .filter_map(|run| {
+            baseline_row(run, baseline).map(|base| run.records_per_sec / base.records_per_sec)
+        })
+        .collect();
+    (!ratios.is_empty()).then(|| geomean(&ratios))
+}
+
+/// Prints every end-to-end row whose `RunMetrics` digest differs from the
+/// baseline's recording of the same row, and returns how many did. Rows
+/// without a baseline counterpart or a recorded digest are not compared.
+fn report_moved_digests(runs: &[EndToEnd], baseline: &[BaselineRow]) -> usize {
+    let mut moved = 0;
     for run in runs {
-        let Some(base) = baseline
-            .iter()
-            .find(|b| b.prefetcher == run.prefetcher && b.workload == run.workload)
+        let Some(expected) = baseline_row(run, baseline).and_then(|base| base.digest.as_ref())
         else {
             continue;
         };
-        ratios.push(run.records_per_sec / base.records_per_sec);
-        if let Some(expected) = &base.digest {
-            if *expected != run.digest {
-                eprintln!(
-                    "digest moved for {} {}: baseline {} vs current {} \
-                     (expected for behaviour-changing PRs, forbidden for perf-only PRs)",
-                    run.prefetcher, run.workload, expected, run.digest
-                );
-            }
+        if *expected != run.digest {
+            eprintln!(
+                "digest moved for {} {}: baseline {} vs current {}",
+                run.prefetcher, run.workload, expected, run.digest
+            );
+            moved += 1;
         }
     }
-    if ratios.is_empty() {
-        return None;
-    }
-    Some(geomean(&ratios))
+    moved
 }
 
 /// `--profile`: a lightweight counter mode that attributes the Queued
@@ -1051,6 +1063,14 @@ fn main() {
         let text = std::fs::read_to_string(&path)
             .unwrap_or_else(|e| panic!("failed to read baseline {path}: {e}"));
         let baseline = parse_baseline(&text);
+        // Digests are the behavioural contract: a moved one fails the gate
+        // outright. A behaviour-changing PR re-records the baseline in the
+        // same change, so the move shows up as a reviewed diff.
+        let moved = report_moved_digests(&runs, &baseline);
+        if moved > 0 {
+            eprintln!("FAIL: {moved} end-to-end digest(s) moved vs {path}");
+            std::process::exit(1);
+        }
         match check_against(&runs, &baseline) {
             Some(ratio) => {
                 eprintln!(

@@ -83,6 +83,9 @@ pub struct Cache {
     name: String,
     config: CacheConfig,
     sets: usize,
+    /// `log2(sets)`: a block's set is its low `set_bits` bits, its tag the
+    /// rest (the set count is a power of two, see [`CacheConfig::sets`]).
+    set_bits: u32,
     array: SetAssociative<LineMeta>,
     stats: CacheStats,
 }
@@ -106,6 +109,7 @@ impl Cache {
             name: name.into(),
             config,
             sets,
+            set_bits: sets.trailing_zeros(),
             array: SetAssociative::new(sets, config.ways, config.replacement),
             stats: CacheStats::default(),
         }
@@ -127,8 +131,8 @@ impl Cache {
     }
 
     fn index(&self, block: BlockAddr) -> (usize, u64) {
-        let set = (block.raw() % self.sets as u64) as usize;
-        let tag = block.raw() / self.sets as u64;
+        let set = (block.raw() & (self.sets as u64 - 1)) as usize;
+        let tag = block.raw() >> self.set_bits;
         (set, tag)
     }
 
@@ -187,6 +191,12 @@ impl Cache {
     /// `ready_at` is the cycle at which the fill data arrives; `dirty` marks
     /// the line modified from the start (write-allocate stores, write-backs
     /// arriving from the level above).
+    ///
+    /// `block` must not be resident: the caller fills right after
+    /// [`Cache::access`] (or [`Cache::contains`]) reported it absent, with
+    /// no other access to this cache in between. The set is then scanned
+    /// once per miss instead of again here. Debug builds assert the
+    /// precondition.
     pub fn fill(
         &mut self,
         block: BlockAddr,
@@ -198,13 +208,6 @@ impl Cache {
         if origin == FillOrigin::Prefetch {
             self.stats.prefetch_fills += 1;
         }
-        // If the block is already present just merge state.
-        if let Some(line) = self.array.get_mut(set, tag) {
-            if dirty {
-                line.state = LineState::Dirty;
-            }
-            return None;
-        }
         let meta = LineMeta {
             state: if dirty {
                 LineState::Dirty
@@ -214,9 +217,9 @@ impl Cache {
             ready_at,
             prefetched_unused: origin == FillOrigin::Prefetch,
         };
-        let evicted = self.array.insert(set, tag, meta);
+        let evicted = self.array.fill(set, tag, meta);
         evicted.map(|occ| {
-            let victim_block = BlockAddr::new(occ.tag * self.sets as u64 + set as u64);
+            let victim_block = BlockAddr::new((occ.tag << self.set_bits) | set as u64);
             if occ.value.prefetched_unused {
                 self.stats.prefetched_evicted_unused += 1;
             }
@@ -244,18 +247,6 @@ impl Cache {
                 prefetched_unused: meta.prefetched_unused,
             }
         })
-    }
-
-    /// Marks `block` dirty if present (used when a write-back from above
-    /// lands on an already-resident L2 line).
-    pub fn mark_dirty(&mut self, block: BlockAddr) -> bool {
-        let (set, tag) = self.index(block);
-        if let Some(line) = self.array.get_mut(set, tag) {
-            line.state = LineState::Dirty;
-            true
-        } else {
-            false
-        }
     }
 
     /// Statistics collected so far.
@@ -374,21 +365,13 @@ mod tests {
     }
 
     #[test]
-    fn fill_of_resident_block_merges_dirty_state() {
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already resident")]
+    fn fill_of_resident_block_panics_in_debug() {
         let mut cache = tiny_cache();
         let block = BlockAddr::new(0x40);
         cache.fill(block, false, 0, FillOrigin::Demand);
-        assert!(cache.fill(block, true, 0, FillOrigin::Demand).is_none());
-        let evicted = cache.invalidate(block).unwrap();
-        assert!(evicted.dirty);
-    }
-
-    #[test]
-    fn mark_dirty_only_affects_resident_lines() {
-        let mut cache = tiny_cache();
-        assert!(!cache.mark_dirty(BlockAddr::new(1)));
-        cache.fill(BlockAddr::new(1), false, 0, FillOrigin::Demand);
-        assert!(cache.mark_dirty(BlockAddr::new(1)));
+        cache.fill(block, true, 0, FillOrigin::Demand);
     }
 
     #[test]

@@ -57,11 +57,15 @@ pub struct CacheConfig {
 }
 
 impl CacheConfig {
-    /// Number of sets implied by the geometry.
+    /// Number of sets implied by the geometry, always a power of two so a
+    /// block's set index is its low address bits (every geometry the paper
+    /// uses qualifies: 256 L1 sets, 2048/4096/8192 sets for the 2/4/8 MB
+    /// L2s of Figure 10).
     ///
     /// # Panics
     ///
-    /// Panics if the geometry does not divide evenly.
+    /// Panics if the geometry does not divide evenly or the set count is
+    /// not a power of two.
     pub fn sets(&self) -> usize {
         let blocks = self.size_bytes / self.block_bytes;
         assert!(
@@ -70,7 +74,15 @@ impl CacheConfig {
             blocks,
             self.ways
         );
-        (blocks / self.ways as u64) as usize
+        let sets = blocks / self.ways as u64;
+        assert!(
+            sets.is_power_of_two(),
+            "cache of {} blocks, {}-way, has {} sets: the set count must be a power of two",
+            blocks,
+            self.ways,
+            sets
+        );
+        sets as usize
     }
 
     /// Paper Table 1 L1 data/instruction cache: 64 KB, 4-way, 64 B blocks,
@@ -441,6 +453,17 @@ mod tests {
     fn bad_geometry_panics() {
         let cfg = CacheConfig {
             size_bytes: 64 * 1024 + 64,
+            ..CacheConfig::l1_paper()
+        };
+        cfg.sets();
+    }
+
+    #[test]
+    #[should_panic(expected = "power of two")]
+    fn non_power_of_two_set_count_panics() {
+        // 192 KB, 4-way: 3072 blocks divide evenly into 768 sets.
+        let cfg = CacheConfig {
+            size_bytes: 192 * 1024,
             ..CacheConfig::l1_paper()
         };
         cfg.sets();

@@ -538,7 +538,7 @@ impl MemoryHierarchy {
             } else {
                 &mut self.l1d_mshr[core]
             };
-            if let MshrOutcome::Full = mshr.register(block, now, ready) {
+            if let MshrOutcome::Full = mshr.allocate(block, now, ready) {
                 // Ideal mode only: the structural stall is not timed; with
                 // the paper's 16-entry MSHRs this is rare and the access
                 // simply pays the computed latency.
@@ -661,7 +661,7 @@ impl MemoryHierarchy {
             let response = self.dram.read_classified(block.base_address(), region, issue_at);
             queue_delay += response.queue_delay;
             let ready = issue_at + response.latency;
-            let _ = self.l2_mshr.register(block, start, ready);
+            let _ = self.l2_mshr.allocate(block, start, ready);
             (issue_at - below_start) + response.latency
         };
         let total = outcome.latency + dram_latency;
@@ -690,6 +690,11 @@ impl MemoryHierarchy {
     /// L2. Write-backs allocate in the L2 without fetching from memory
     /// because the whole block is being overwritten.
     ///
+    /// One tag probe decides the case: the write-back is an L2 write
+    /// access, which on a hit counts a write hit and marks the resident line
+    /// dirty, and on a miss is followed by a dirty fill (whose victim, if
+    /// dirty, goes on to DRAM).
+    ///
     /// Under `Queued` contention the write-back competes for the same L2
     /// tag-pipeline bank ports as reads: it waits for its bank, occupies it,
     /// and the wait is recorded in `l2_port_delay` under the victim's data
@@ -700,12 +705,9 @@ impl MemoryHierarchy {
         let predictor = self.in_pv_region(block);
         self.stats.l2_requests.record(predictor);
         let start = self.acquire_l2_port(block, predictor, now);
-        if self.l2.mark_dirty(block) {
-            // Count as a write hit for the L2's own statistics.
-            let _ = self.l2.access(block, AccessKind::Write, start);
+        if self.l2.access(block, AccessKind::Write, start).hit {
             return;
         }
-        let _ = self.l2.access(block, AccessKind::Write, start);
         let evicted = self.l2.fill(
             block,
             true,
@@ -765,7 +767,7 @@ impl MemoryHierarchy {
         }
         let below = self.l2_path(block, AccessKind::Read, DataClass::Application, now);
         let ready_at = now + below.latency;
-        let _ = self.l1d_mshr[core].register(block, now, ready_at);
+        let _ = self.l1d_mshr[core].allocate(block, now, ready_at);
         self.stats.l1d_prefetches[core] += 1;
         let evicted = self.l1d[core].fill(block, false, ready_at, FillOrigin::Prefetch);
         if let Some(ev) = evicted {
@@ -1073,6 +1075,45 @@ mod tests {
             "dirty line should have been written back"
         );
         assert!(stats.l2.writes >= 1, "write-back must arrive at the L2");
+    }
+
+    /// A dirty L1 victim whose block is still resident in the L2 costs one
+    /// L2 tag probe: a write hit that marks the line dirty, with nothing
+    /// filled, evicted or written to DRAM.
+    #[test]
+    fn writeback_onto_resident_l2_line_is_a_write_hit() {
+        let mut h = hierarchy();
+        let l1_sets = h.config().l1d.sets() as u64;
+        let block = BlockAddr::new(7);
+        h.access(
+            Requester::data(0),
+            block.base_address().raw(),
+            AccessKind::Write,
+            DataClass::Application,
+            0,
+        );
+        // Four reads conflicting in the 4-way L1 set (but not in the larger
+        // L2) push the dirty line out while the L2 still holds its block.
+        for i in 1..=4u64 {
+            h.access(
+                Requester::data(0),
+                BlockAddr::new(block.raw() + i * l1_sets).base_address().raw(),
+                AccessKind::Read,
+                DataClass::Application,
+                i * 1000,
+            );
+        }
+        let stats = h.stats();
+        assert_eq!(stats.l1d[0].writebacks, 1);
+        assert!(!h.l1d_contains(0, block));
+        assert_eq!((stats.l2.write_hits, stats.l2.write_misses), (1, 0));
+        assert_eq!((stats.l2.writebacks, stats.dram_writes), (0, 0));
+        assert_eq!(h.l2.resident_lines(), 5, "the write-back must not fill");
+        let line = h.l2.invalidate(block).expect("block stays resident in the L2");
+        assert!(
+            line.dirty,
+            "the write hit must mark the resident line dirty"
+        );
     }
 
     #[test]

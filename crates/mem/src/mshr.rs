@@ -63,7 +63,7 @@ pub struct MshrFile {
 impl MshrFile {
     /// Creates an MSHR file with `capacity` entries.
     ///
-    /// Occupancy is hard-capped at `capacity` ([`Self::register`] reports
+    /// Occupancy is hard-capped at `capacity` ([`Self::allocate`] reports
     /// [`MshrOutcome::Full`] instead of pushing), so the entry `Vec`
     /// reserved here at exactly `capacity` never reallocates afterwards —
     /// the access hot path stays allocation-free (pinned by
@@ -151,8 +151,9 @@ impl MshrFile {
     /// Registers a miss on `block` whose fill would complete at `ready_at`.
     ///
     /// Completed entries are retired first (based on `now`), then the miss
-    /// either merges into an existing entry, allocates a new one, or reports
-    /// that the file is full.
+    /// either merges into an existing entry or, when `block` is not in
+    /// flight, goes to [`Self::allocate`] (a new entry, or
+    /// [`MshrOutcome::Full`]).
     pub fn register(&mut self, block: BlockAddr, now: u64, ready_at: u64) -> MshrOutcome {
         self.retire(now);
         if let Some(entry) = self.entries.iter_mut().find(|entry| entry.block == block) {
@@ -162,6 +163,23 @@ impl MshrFile {
                 ready_at: entry.ready_at,
             };
         }
+        self.allocate(block, now, ready_at)
+    }
+
+    /// Allocates an entry for a miss on `block` that is not in flight,
+    /// whose fill completes at `ready_at`: retires entries completed by
+    /// `now`, then pushes a new entry or reports [`MshrOutcome::Full`].
+    ///
+    /// This is [`Self::register`] without the merge search, for a caller
+    /// whose [`Self::lookup`] has just returned `None` with no registration
+    /// in between, so the file is scanned once per miss. Debug builds
+    /// assert that `block` is not in flight.
+    pub fn allocate(&mut self, block: BlockAddr, now: u64, ready_at: u64) -> MshrOutcome {
+        self.retire(now);
+        debug_assert!(
+            self.lookup(block).is_none(),
+            "allocate of block {block:?} already in flight"
+        );
         if self.entries.len() >= self.capacity {
             self.full_stalls += 1;
             return MshrOutcome::Full;
@@ -244,6 +262,15 @@ mod tests {
         assert!(mshr.lookup(BlockAddr::new(8)).is_none());
         mshr.clear();
         assert!(mshr.lookup(BlockAddr::new(7)).is_none());
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "already in flight")]
+    fn allocate_of_in_flight_block_panics_in_debug() {
+        let mut mshr = MshrFile::new(4);
+        mshr.allocate(BlockAddr::new(1), 0, 100);
+        mshr.allocate(BlockAddr::new(1), 10, 110);
     }
 
     #[test]

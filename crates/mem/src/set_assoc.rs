@@ -5,12 +5,17 @@
 //! replacement and eviction behaviour identical everywhere it matters.
 //!
 //! This is the hottest structure in the simulator — every simulated access
-//! walks it several times — so it is laid out for speed: entries live in one
-//! flat `Vec` indexed by `set * ways + way`, replacement state is the
-//! bit-packed [`ReplacementState`] (one enum for the whole array instead of
-//! one boxed [`ReplacementPolicy`](crate::ReplacementPolicy) per set), and
-//! occupancy is counted incrementally. After construction no operation
-//! allocates. The boxed-policy formulation is retained as
+//! walks it — so it is laid out for speed: entries live in one flat `Vec`
+//! indexed by `set * ways + way`, replacement state is the bit-packed
+//! [`ReplacementState`] (one enum for the whole array instead of one boxed
+//! [`ReplacementPolicy`](crate::ReplacementPolicy) per set), and occupancy
+//! is counted incrementally. After construction no operation allocates.
+//!
+//! A miss scans its set once: a caller that has just missed installs with
+//! [`SetAssociative::fill`], which picks the victim directly instead of
+//! repeating the tag search that [`SetAssociative::insert`] starts with.
+//!
+//! The boxed-policy formulation is retained as
 //! [`ReferenceSetAssociative`](crate::set_assoc_ref::ReferenceSetAssociative)
 //! and differential tests pin the two to identical behaviour.
 
@@ -150,11 +155,27 @@ impl<T> SetAssociative<T> {
     /// tag was already present.
     pub fn insert(&mut self, set: usize, tag: u64, value: T) -> Option<Occupied<T>> {
         self.assert_set(set);
-        let base = set * self.ways;
         if let Some(way) = self.way_of(set, tag) {
             self.replacement.on_access(set, way);
-            return self.entries[base + way].replace(Occupied { tag, value });
+            return self.entries[set * self.ways + way].replace(Occupied { tag, value });
         }
+        self.fill(set, tag, value)
+    }
+
+    /// Installs `(set, tag) -> value` for a tag the caller knows is absent
+    /// (it has just missed), returning the victim if the set was full. This
+    /// is [`Self::insert`] without the tag search: the victim is chosen and
+    /// replaced directly.
+    ///
+    /// Debug builds assert that `tag` is absent from `set`; filling a
+    /// resident tag would leave two ways holding it.
+    pub fn fill(&mut self, set: usize, tag: u64, value: T) -> Option<Occupied<T>> {
+        self.assert_set(set);
+        debug_assert!(
+            self.way_of(set, tag).is_none(),
+            "fill of tag {tag:#x} already resident in set {set}"
+        );
+        let base = set * self.ways;
         let entries = &self.entries;
         let way = self.replacement.victim(set, |w| entries[base + w].is_some());
         assert!(

@@ -11,20 +11,18 @@
 //! ```text
 //! cargo run --release -p pv-examples --bin capacity_pressure [workload]
 //! ```
+//!
+//! `workload` is a paper workload name, case-insensitive (default:
+//! Apache); an unknown name exits with status 2 and the list of valid names.
 
 use pv_core::PvConfig;
+use pv_examples::workload_arg;
 use pv_sim::{run_workload, PrefetcherKind, SimConfig};
 use pv_sms::{PhtGeometry, SmsConfig, VirtualizedPht};
 use pv_workloads::WorkloadId;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let workload = args
-        .get(1)
-        .and_then(|name| {
-            WorkloadId::all().into_iter().find(|w| w.name().eq_ignore_ascii_case(name))
-        })
-        .unwrap_or(WorkloadId::Apache);
+    let workload = workload_arg(1, WorkloadId::Apache);
     let params = workload.params();
     println!(
         "Capacity pressure on {}: {}\n",

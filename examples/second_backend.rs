@@ -8,21 +8,19 @@
 //! ```text
 //! cargo run --release -p pv-examples --bin second_backend [workload]
 //! ```
+//!
+//! `workload` is a paper workload name, case-insensitive (default:
+//! Qry1); an unknown name exits with status 2 and the list of valid names.
 
 use pv_core::{PvConfig, PvLayout};
+use pv_examples::workload_arg;
 use pv_markov::{MarkovEntry, VirtualizedMarkov};
 use pv_sim::{run_workload, PrefetcherKind, SimConfig};
 use pv_sms::{SmsEntry, VirtualizedPht};
 use pv_workloads::WorkloadId;
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let workload = args
-        .get(1)
-        .and_then(|name| {
-            WorkloadId::all().into_iter().find(|w| w.name().eq_ignore_ascii_case(name))
-        })
-        .unwrap_or(WorkloadId::Qry1);
+    let workload = workload_arg(1, WorkloadId::Qry1);
     let params = workload.params();
     let pv = PvConfig::pv8();
 

@@ -9,19 +9,16 @@
 //! ```
 //!
 //! `workload` is one of Apache, Zeus, DB2, Oracle, Qry1, Qry2, Qry16, Qry17
-//! (default: Oracle).
+//! (case-insensitive; default: Oracle). An unknown name exits with status 2
+//! and the list of valid names.
 
+use pv_examples::workload_arg;
 use pv_sim::{run_workload, PrefetcherKind, SimConfig};
 use pv_workloads::WorkloadId;
 
-fn parse_workload(name: &str) -> Option<WorkloadId> {
-    WorkloadId::all().into_iter().find(|w| w.name().eq_ignore_ascii_case(name))
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let workload = args.get(1).and_then(|name| parse_workload(name)).unwrap_or(WorkloadId::Oracle);
-    let full = args.get(2).map(|s| s == "full").unwrap_or(false);
+    let workload = workload_arg(1, WorkloadId::Oracle);
+    let full = std::env::args().nth(2).is_some_and(|s| s == "full");
     let params = workload.params();
 
     let configs = [

@@ -29,13 +29,16 @@ fn random_geometry(rng: &mut StdRng, kind: ReplacementKind) -> (usize, usize) {
 
 /// Drives both arrays with the same op stream (get / insert / invalidate
 /// over a small tag universe so hits, conflicts and invalidations all
-/// occur), asserting identical results after every op.
+/// occur), asserting identical results after every op. Inserts of an
+/// absent tag go through the flat array's `fill`, so its victim choice is
+/// checked against the reference's `insert` too.
 fn drive_differential(kind: ReplacementKind, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
     let (sets, ways) = random_geometry(&mut rng, kind);
     let mut flat: SetAssociative<u64> = SetAssociative::new(sets, ways, kind);
     let mut reference: ReferenceSetAssociative<u64> =
         ReferenceSetAssociative::new(sets, ways, kind);
+    let mut fills = 0u32;
     for op in 0..4_000u64 {
         let set = rng.gen_range(0usize..sets);
         // ~2x capacity worth of tags: plenty of hits and plenty of misses.
@@ -50,7 +53,14 @@ fn drive_differential(kind: ReplacementKind, seed: u64) {
             }
             4..=7 => {
                 let value = op;
-                let a = flat.insert(set, tag, value);
+                // An absent tag takes the miss path's `fill`, which must pick
+                // the same victim as the reference's searching `insert`.
+                let a = if flat.contains(set, tag) {
+                    flat.insert(set, tag, value)
+                } else {
+                    fills += 1;
+                    flat.fill(set, tag, value)
+                };
                 let b = reference.insert(set, tag, value);
                 assert_eq!(
                     a, b,
@@ -75,6 +85,10 @@ fn drive_differential(kind: ReplacementKind, seed: u64) {
     flat_entries.sort_unstable();
     ref_entries.sort_unstable();
     assert_eq!(flat_entries, ref_entries);
+    assert!(
+        fills > 0,
+        "the stream must install absent tags through `fill`"
+    );
 }
 
 #[test]
@@ -383,13 +397,14 @@ impl ModelMshr {
     }
 }
 
-/// Seeded op streams (register / lookup / retire / wait-for-slot, rare
-/// clears) over a block pool about twice the capacity, with fill
-/// latencies long enough to keep the file near full and timestamps that
-/// occasionally step back (requester clocks are not globally ordered).
-/// After every op the flat file and the model agree on the op's result,
-/// occupancy, earliest completion and every counter; each capacity must
-/// see merges, full stalls, draining waits and clears.
+/// Seeded op streams (register or allocate / lookup / retire /
+/// wait-for-slot, rare clears) over a block pool about twice the capacity,
+/// with fill latencies long enough to keep the file near full and
+/// timestamps that occasionally step back (requester clocks are not
+/// globally ordered). After every op the flat file and the model agree on
+/// the op's result, occupancy, earliest completion and every counter; each
+/// capacity must see merges, full stalls, draining waits, clears and
+/// direct allocations.
 #[test]
 fn flat_mshr_file_matches_an_ordered_map_model() {
     for capacity in [1usize, 4, 16, 64] {
@@ -399,7 +414,7 @@ fn flat_mshr_file_matches_an_ordered_map_model() {
             let mut model = ModelMshr::new(capacity);
             let pool = 2 * capacity as u64 + 2;
             let max_latency = 16 * capacity as u64 + 16;
-            let (mut drains, mut clears) = (0u32, 0u32);
+            let (mut drains, mut clears, mut allocations) = (0u32, 0u32, 0u32);
             let mut now = 0u64;
             for op in 0..6_000u32 {
                 now = (now + rng.gen_range(0u64..8)).saturating_sub(rng.gen_range(0u64..3));
@@ -408,8 +423,16 @@ fn flat_mshr_file_matches_an_ordered_map_model() {
                 match rng.gen_range(0u32..100) {
                     0..=49 => {
                         let ready_at = now + rng.gen_range(1..=max_latency);
+                        // A block the model holds no entry for takes the
+                        // miss path's `allocate`, as after a failed lookup.
+                        let outcome = if model.entries.contains_key(&block.raw()) {
+                            flat.register(block, now, ready_at)
+                        } else {
+                            allocations += 1;
+                            flat.allocate(block, now, ready_at)
+                        };
                         assert_eq!(
-                            flat.register(block, now, ready_at),
+                            outcome,
                             model.register(block, now, ready_at),
                             "register diverged at {context}"
                         );
@@ -453,9 +476,14 @@ fn flat_mshr_file_matches_an_ordered_map_model() {
                 );
             }
             assert!(
-                model.merges > 0 && model.full_stalls > 0 && drains > 0 && clears > 0,
+                model.merges > 0
+                    && model.full_stalls > 0
+                    && drains > 0
+                    && clears > 0
+                    && allocations > 0,
                 "capacity {capacity}, seed {seed}: the stream must exercise every path \
-                 (merges {}, full stalls {}, draining waits {drains}, clears {clears})",
+                 (merges {}, full stalls {}, draining waits {drains}, clears {clears}, \
+                 allocations {allocations})",
                 model.merges,
                 model.full_stalls
             );
