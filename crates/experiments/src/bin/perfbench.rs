@@ -1,28 +1,29 @@
 //! Performance harness: establishes and tracks the simulator's perf
 //! trajectory.
 //!
-//! Times smoke-scale end-to-end runs for every [`PrefetcherKind`] —
-//! including the cohabiting SMS+Markov pairs and the feedback-throttled
-//! variants — plus micro-benchmarks of the packing codec and the
-//! set-associative array against the retained pre-flattening reference
-//! implementations and of the memory-hierarchy access path under both
-//! contention models and of the DRAM service path under queued contention,
-//! and a replay-path row that times decode+simulate over pre-recorded
-//! binary traces, plus a fleet-throughput section that sweeps a small grid
-//! through the work-stealing fleet driver on one thread and on all host
-//! threads (runs/sec each, and the scaling efficiency between them), plus
-//! scheduler (`system/schedule`, event heap vs reference scan) and L1-hit
-//! fast-path (`hierarchy/access_hit_fastpath`, classification-free vs
-//! general entry) micros, plus the dynamically repartitioned scarce-region
-//! cohabiting pair (`SMS+Markov-shPV8-dyn`, the live capacity controller
-//! on the end-to-end path), plus Queued contended-path micros
-//! (`hierarchy/classify_hoisted`, the cached-bounds PV classification vs
-//! the region lookup it replaced, and `memory/inflight_ring`, the
-//! fixed-capacity DRAM in-flight ring vs the retained `VecDeque`
-//! reference) and a Queued-contention end-to-end row whose ratio against
-//! its Ideal twin is reported in the summary, and writes the results as
-//! `BENCH_PR10.json` (schema `pv-perfbench/2`, documented in the README's
-//! Performance section).
+//! It measures, and writes as `BENCH_PR10.json` (schema `pv-perfbench/2`,
+//! documented in the README's Performance section):
+//!
+//! * smoke-scale end-to-end runs for every [`PrefetcherKind`], including
+//!   the cohabiting SMS+Markov pairs, the dynamically repartitioned
+//!   scarce-region pair (`SMS+Markov-shPV8-dyn`) and the
+//!   feedback-throttled variants;
+//! * a replay-path row that times decode+simulate over pre-recorded binary
+//!   traces, and a Queued-contention row whose ratio against its Ideal
+//!   twin is reported in the summary;
+//! * micro-benchmarks of the shipped hot paths, each timed on its own: the
+//!   packing codec (`packing/round_trip`), the set-associative array
+//!   (`set_assoc/get_insert`), the memory-hierarchy access path under both
+//!   contention models, the DRAM service path and its in-flight ring
+//!   (`memory/service_queued`, `memory/inflight_ring`) and the run loop
+//!   (`system/schedule`);
+//! * two micros that compare two live entry points: the L1-hit fast path
+//!   against the general one (`hierarchy/access_hit_fastpath`) and the
+//!   cached-bounds PV classification against the region lookup it replaced
+//!   (`hierarchy/classify_hoisted`);
+//! * fleet throughput: a small grid swept through the work-stealing fleet
+//!   driver on one thread and on all host threads (runs/sec each, and the
+//!   scaling efficiency between them).
 //!
 //! Each end-to-end row also carries a digest of the run's `RunMetrics`
 //! (cycles, misses, traffic, coverage): optimisation PRs must keep those
@@ -46,7 +47,9 @@
 //! differs from the baseline's (a behaviour change must re-record the
 //! baseline instead). Rows with no baseline counterpart — e.g. the
 //! replay-path row against a baseline older than `BENCH_PR6.json` — are
-//! skipped by the gate.
+//! skipped by the gate. A baseline that cannot be read, or that holds no
+//! end-to-end rows, is rejected with exit status 2 before anything is
+//! measured.
 //!
 //! With `--profile`, a lightweight counter mode runs instead: each hot
 //! component of the Queued access path is timed in isolation behind
@@ -54,15 +57,15 @@
 //! JSON is written), followed by the `perf`/flamegraph recipe for
 //! instruction-level attribution.
 
-use pv_core::{decode_set, encode_set, packing, PvLayout, PvSet, RawEntry};
+use pv_core::{decode_set, encode_set, PvLayout, PvSet, RawEntry};
 use pv_experiments::fleet::{run_fleet, FleetGrid, FleetWorkload};
 use pv_experiments::Scale;
 use pv_mem::{
     AccessKind, BlockAddr, ContentionModel, DataClass, DelayBreakdown, DramConfig, EvictionBuffer,
     HierarchyConfig, InflightRing, MainMemory, MemoryHierarchy, MshrFile, PvRegionConfig,
-    ReferenceInflightQueue, ReferenceSetAssociative, ReplacementKind, Requester, SetAssociative,
+    ReplacementKind, Requester, SetAssociative,
 };
-use pv_sim::{run_streams, run_workload, PrefetcherKind, Scheduler, SimConfig, System};
+use pv_sim::{run_streams, run_workload, PrefetcherKind, SimConfig, System};
 use pv_trace::{record_generator, ReplayStream};
 use pv_workloads::{AccessStream, WorkloadId};
 use std::time::Instant;
@@ -139,7 +142,8 @@ struct EndToEnd {
 struct Micro {
     name: String,
     ns_per_op: f64,
-    /// `ns_per_op` of a retained reference implementation, when one exists.
+    /// `ns_per_op` of the second live path this one is compared against,
+    /// when the row has one.
     reference_ns_per_op: Option<f64>,
 }
 
@@ -170,50 +174,30 @@ fn bench_codec(iters: u64) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
-/// Same round-trip over the retained bit-at-a-time reference codec.
-fn bench_codec_reference(iters: u64) -> f64 {
-    let layout = PvLayout::new(11, 32, 64);
-    let set = full_sms_set(&layout);
+/// Deterministic get/insert mix over a PHT-shaped array (1024 sets x 11
+/// ways, LRU).
+fn bench_set_assoc(iters: u64) -> f64 {
+    let mut arr: SetAssociative<u64> = SetAssociative::new(1024, 11, ReplacementKind::Lru);
+    let mut state = 0x1234_5678_9abc_def0u64;
+    let mut next = move || {
+        state ^= state >> 12;
+        state ^= state << 25;
+        state ^= state >> 27;
+        state.wrapping_mul(0x2545_F491_4F6C_DD1D)
+    };
     let start = Instant::now();
     for _ in 0..iters {
-        let block = packing::reference::encode_set(&set, &layout);
-        let decoded: PvSet<RawEntry> = packing::reference::decode_set(&block, &layout);
-        std::hint::black_box(decoded);
+        let r = next();
+        let set = (r % 1024) as usize;
+        let tag = (r >> 10) % 64;
+        if r & 1 == 0 {
+            std::hint::black_box(arr.get(set, tag));
+        } else {
+            std::hint::black_box(arr.insert(set, tag, r));
+        }
     }
     start.elapsed().as_nanos() as f64 / iters as f64
 }
-
-/// Deterministic get/insert mix over a PHT-shaped array (1024 sets x 11
-/// ways, LRU), exercised identically for the flat and reference arrays.
-macro_rules! bench_set_assoc_impl {
-    ($name:ident, $ty:ident) => {
-        fn $name(iters: u64) -> f64 {
-            let mut arr: $ty<u64> = $ty::new(1024, 11, ReplacementKind::Lru);
-            let mut state = 0x1234_5678_9abc_def0u64;
-            let mut next = move || {
-                state ^= state >> 12;
-                state ^= state << 25;
-                state ^= state >> 27;
-                state.wrapping_mul(0x2545_F491_4F6C_DD1D)
-            };
-            let start = Instant::now();
-            for _ in 0..iters {
-                let r = next();
-                let set = (r % 1024) as usize;
-                let tag = (r >> 10) % 64;
-                if r & 1 == 0 {
-                    std::hint::black_box(arr.get(set, tag));
-                } else {
-                    std::hint::black_box(arr.insert(set, tag, r));
-                }
-            }
-            start.elapsed().as_nanos() as f64 / iters as f64
-        }
-    };
-}
-
-bench_set_assoc_impl!(bench_set_assoc, SetAssociative);
-bench_set_assoc_impl!(bench_set_assoc_reference, ReferenceSetAssociative);
 
 /// Full-hierarchy access path: a deterministic four-core read/write stream
 /// over a footprint larger than the L2, timed end to end (L1 + L2 + MSHRs +
@@ -333,47 +317,26 @@ fn bench_classify_reference(iters: u64) -> f64 {
     bench_classify(false, iters)
 }
 
-/// The per-channel DRAM in-flight queue in isolation: the identical
-/// drain/admit/push sequence over the fixed-capacity ring and the retained
-/// `VecDeque` reference, paced (arrivals every 3 cycles against a
-/// 16-cycle transfer) so the queue stays at `queue_depth` and every call
-/// exercises the full-queue admission path the ring turned into O(1)
-/// pointer arithmetic.
-fn bench_inflight(ring: bool, iters: u64) -> f64 {
+/// The per-channel DRAM in-flight ring in isolation: a drain/admit/push
+/// sequence paced (arrivals every 3 cycles against a 16-cycle transfer) so
+/// the queue stays at `queue_depth` and every call exercises the
+/// full-queue admission path.
+fn bench_inflight_ring(iters: u64) -> f64 {
     let config = DramConfig::paper();
-    let depth = config.queue_depth;
-    let mut new_queue = InflightRing::new(depth);
-    let mut reference = ReferenceInflightQueue::new();
+    let mut ring = InflightRing::new(config.queue_depth);
     let mut bus_busy_until = 0u64;
     let mut now = 0u64;
     let start = Instant::now();
     for _ in 0..iters {
-        let admitted = if ring {
-            new_queue.drain(now);
-            new_queue.admit(now)
-        } else {
-            reference.drain(now);
-            reference.admit(now, depth)
-        };
+        ring.drain(now);
+        let admitted = ring.admit(now);
         let done = (admitted + config.latency).max(bus_busy_until + config.cycles_per_transfer);
         bus_busy_until = done;
-        if ring {
-            new_queue.push(done);
-        } else {
-            reference.push(done);
-        }
+        ring.push(done);
         std::hint::black_box(admitted);
         now += 3;
     }
     start.elapsed().as_nanos() as f64 / iters as f64
-}
-
-fn bench_inflight_ring(iters: u64) -> f64 {
-    bench_inflight(true, iters)
-}
-
-fn bench_inflight_reference(iters: u64) -> f64 {
-    bench_inflight(false, iters)
 }
 
 /// `DelayBreakdown::record` in isolation: the branchless class-indexed
@@ -425,13 +388,9 @@ fn bench_mshr_cycle(iters: u64) -> f64 {
 }
 
 /// The run-loop scheduling cost end to end: a sixteen-core no-prefetcher
-/// system consuming records, timed per record, under the given scheduler.
-/// The event-heap and reference-scan variants run the identical workload,
-/// so their ratio isolates the `min_by_key`-scan removal; sixteen cores
-/// (vs the paper's four) is where scan cost is actually visible — the
-/// heap's advantage grows with core count while the scan's cost is linear
-/// in it.
-fn bench_schedule(scheduler: Scheduler, iters: u64) -> f64 {
+/// system consuming records, timed per record. Sixteen cores (vs the
+/// paper's four) is where per-record scheduling cost is visible.
+fn bench_schedule(iters: u64) -> f64 {
     let mut config = SimConfig::quick(PrefetcherKind::None);
     config.cores = 16;
     config.hierarchy = HierarchyConfig::paper_baseline(16);
@@ -440,18 +399,9 @@ fn bench_schedule(scheduler: Scheduler, iters: u64) -> f64 {
     config.measure_records = 1;
     let cores = config.cores as u64;
     let mut system = System::new(config, &WorkloadId::Qry1.params());
-    system.set_scheduler(scheduler);
     let start = Instant::now();
     system.run_records(iters / cores);
     start.elapsed().as_nanos() as f64 / ((iters / cores) * cores) as f64
-}
-
-fn bench_schedule_heap(iters: u64) -> f64 {
-    bench_schedule(Scheduler::EventHeap, iters)
-}
-
-fn bench_schedule_reference(iters: u64) -> f64 {
-    bench_schedule(Scheduler::ReferenceScan, iters)
 }
 
 /// The L1-hit fast path ([`MemoryHierarchy::access_data`]) against the
@@ -571,6 +521,28 @@ fn parse_baseline_micro(text: &str, name: &str) -> Option<f64> {
     text.lines()
         .find(|line| line.contains(&needle))
         .and_then(|line| extract_num(line, "\"ns_per_op\": "))
+}
+
+/// What the regression gate reads from a recorded benchmark JSON.
+struct Baseline {
+    rows: Vec<BaselineRow>,
+    /// The recorded `hierarchy/access_queued` ns/op, if the file has one.
+    access_queued_ns: Option<f64>,
+}
+
+/// Reads and parses the baseline at `path`. A file that cannot be read or
+/// holds no `end_to_end` rows is an error.
+fn load_baseline(path: &str) -> Result<Baseline, String> {
+    let text =
+        std::fs::read_to_string(path).map_err(|e| format!("cannot read baseline {path}: {e}"))?;
+    let rows = parse_baseline(&text);
+    if rows.is_empty() {
+        return Err(format!("baseline {path} holds no end_to_end rows"));
+    }
+    Ok(Baseline {
+        access_queued_ns: parse_baseline_micro(&text, "hierarchy/access_queued"),
+        rows,
+    })
 }
 
 /// Geometric mean of `values`; 1.0 for an empty slice. A non-positive or
@@ -734,6 +706,15 @@ fn main() {
         }
     }
     let out_path = out_path.unwrap_or_else(|| "BENCH_PR10.json".to_owned());
+    // The baseline is read before anything is measured, so a bad path fails
+    // at once instead of after the whole run.
+    let baseline = match baseline_path.as_deref().map(load_baseline).transpose() {
+        Ok(baseline) => baseline,
+        Err(error) => {
+            eprintln!("{error}");
+            std::process::exit(2);
+        }
+    };
 
     let mut runs = Vec::new();
     for kind in all_kinds() {
@@ -855,40 +836,41 @@ fn main() {
         runs.push(row);
     }
 
-    // Interleave the current and reference measurements in adjacent windows
-    // and keep the best of each: a burst of background load then penalises
-    // both sides instead of skewing the ratio.
-    let interleaved = |new: fn(u64) -> f64, reference: fn(u64) -> f64, iters: u64| {
-        let (mut best_new, mut best_ref) = (f64::INFINITY, f64::INFINITY);
-        for _ in 0..5 {
-            best_new = best_new.min(new(iters));
-            best_ref = best_ref.min(reference(iters));
-        }
-        (best_new, best_ref)
+    // Best of five: wall-clock noise must not read as a regression.
+    let best = |bench: fn(u64) -> f64, iters: u64| {
+        (0..5).map(|_| bench(iters)).fold(f64::INFINITY, f64::min)
     };
-    let (codec, codec_ref) = interleaved(bench_codec, bench_codec_reference, 200_000);
-    let (sa, sa_ref) = interleaved(bench_set_assoc, bench_set_assoc_reference, 1_000_000);
+    // Interleave the two compared paths in adjacent windows and keep the
+    // best of each: a burst of background load then penalises both sides
+    // instead of skewing the ratio.
+    let interleaved = |first: fn(u64) -> f64, second: fn(u64) -> f64, iters: u64| {
+        let (mut best_first, mut best_second) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            best_first = best_first.min(first(iters));
+            best_second = best_second.min(second(iters));
+        }
+        (best_first, best_second)
+    };
+    let codec = best(bench_codec, 200_000);
+    let sa = best(bench_set_assoc, 1_000_000);
     let (hier_ideal, hier_queued) =
         interleaved(bench_hierarchy_ideal, bench_hierarchy_queued, 2_000_000);
-    let memory_service =
-        (0..5).map(|_| bench_memory_service(2_000_000)).fold(f64::INFINITY, f64::min);
-    let (schedule, schedule_ref) =
-        interleaved(bench_schedule_heap, bench_schedule_reference, 400_000);
+    let memory_service = best(bench_memory_service, 2_000_000);
+    let schedule = best(bench_schedule, 400_000);
     let (hit_fast, hit_general) = interleaved(bench_hit_fastpath, bench_hit_general, 4_000_000);
     let (classify, classify_ref) =
         interleaved(bench_classify_hoisted, bench_classify_reference, 8_000_000);
-    let (inflight, inflight_ref) =
-        interleaved(bench_inflight_ring, bench_inflight_reference, 8_000_000);
+    let inflight = best(bench_inflight_ring, 8_000_000);
     let micros = vec![
         Micro {
             name: "packing/round_trip".to_owned(),
             ns_per_op: codec,
-            reference_ns_per_op: Some(codec_ref),
+            reference_ns_per_op: None,
         },
         Micro {
             name: "set_assoc/get_insert".to_owned(),
             ns_per_op: sa,
-            reference_ns_per_op: Some(sa_ref),
+            reference_ns_per_op: None,
         },
         Micro {
             name: "hierarchy/access_ideal".to_owned(),
@@ -908,7 +890,7 @@ fn main() {
         Micro {
             name: "system/schedule".to_owned(),
             ns_per_op: schedule,
-            reference_ns_per_op: Some(schedule_ref),
+            reference_ns_per_op: None,
         },
         Micro {
             name: "hierarchy/access_hit_fastpath".to_owned(),
@@ -923,13 +905,13 @@ fn main() {
         Micro {
             name: "memory/inflight_ring".to_owned(),
             ns_per_op: inflight,
-            reference_ns_per_op: Some(inflight_ref),
+            reference_ns_per_op: None,
         },
     ];
     for micro in &micros {
         match micro.reference_ns_per_op {
             Some(reference) => eprintln!(
-                "micro {:<24} {:>8.1} ns/op vs {:>8.1} ns/op reference ({:.2}x)",
+                "micro {:<24} {:>8.1} ns/op vs {:>8.1} ns/op ({:.2}x)",
                 micro.name,
                 micro.ns_per_op,
                 reference,
@@ -1037,17 +1019,13 @@ fn main() {
         scaling_efficiency,
     ));
     json.push_str(&format!(
-        "  \"summary\": {{\"end_to_end_speedup_geomean\": {:.3}, \"packing_speedup\": {:.3}, \
-         \"set_assoc_speedup\": {:.3}, \"hierarchy_queued_overhead\": {:.3}, \
-         \"end_to_end_queued_over_ideal\": {:.3}, \"classify_hoisted_speedup\": {:.3}, \
-         \"inflight_ring_speedup\": {:.3}}}\n",
+        "  \"summary\": {{\"end_to_end_speedup_geomean\": {:.3}, \
+         \"hierarchy_queued_overhead\": {:.3}, \"end_to_end_queued_over_ideal\": {:.3}, \
+         \"classify_hoisted_speedup\": {:.3}}}\n",
         speedup_geomean,
-        micro_by_name("packing/round_trip").speedup().expect("has reference"),
-        micro_by_name("set_assoc/get_insert").speedup().expect("has reference"),
         queued_overhead,
         end_to_end_queued_over_ideal,
         micro_by_name("hierarchy/classify_hoisted").speedup().expect("has reference"),
-        micro_by_name("memory/inflight_ring").speedup().expect("has reference"),
     ));
     json.push_str("}\n");
 
@@ -1059,10 +1037,14 @@ fn main() {
     );
 
     // Regression gate: compare against a committed baseline JSON.
-    if let Some(path) = baseline_path {
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("failed to read baseline {path}: {e}"));
-        let baseline = parse_baseline(&text);
+    if let (
+        Some(path),
+        Some(Baseline {
+            rows: baseline,
+            access_queued_ns,
+        }),
+    ) = (baseline_path, baseline)
+    {
         // Digests are the behavioural contract: a moved one fails the gate
         // outright. A behaviour-changing PR re-records the baseline in the
         // same change, so the move shows up as a reviewed diff.
@@ -1094,7 +1076,7 @@ fn main() {
         // dominate it, so a Queued-only slowdown could otherwise hide). Both
         // sides are wall-clock ns on the same host, so the threshold is
         // looser than the ratio gate above.
-        if let Some(base_queued) = parse_baseline_micro(&text, "hierarchy/access_queued") {
+        if let Some(base_queued) = access_queued_ns {
             let current = micro_by_name("hierarchy/access_queued").ns_per_op;
             let ratio = current / base_queued;
             eprintln!(

@@ -1,0 +1,67 @@
+//! `perfbench --check-against` reads its baseline before measuring
+//! anything: a baseline it cannot use exits 2 at once and writes no JSON.
+
+use std::path::PathBuf;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// A full measurement run takes minutes; rejecting the baseline takes
+/// milliseconds. Anything slower means the run started.
+const PROMPT: Duration = Duration::from_secs(30);
+
+/// A per-test scratch path under the system temp directory.
+fn scratch(name: &str) -> PathBuf {
+    std::env::temp_dir().join(format!("perfbench_args_{}_{name}", std::process::id()))
+}
+
+/// Runs perfbench writing to `out` and gated against `baseline`, and
+/// returns its exit code and stderr. Kills it and fails if it is not done
+/// within [`PROMPT`].
+fn run_perfbench(out: &PathBuf, baseline: &PathBuf) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_perfbench"))
+        .arg(out)
+        .arg("--check-against")
+        .arg(baseline)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("perfbench starts");
+    let start = Instant::now();
+    while child.try_wait().expect("perfbench can be polled").is_none() {
+        if start.elapsed() > PROMPT {
+            child.kill().expect("perfbench can be killed");
+            panic!(
+                "perfbench did not reject {} within {PROMPT:?}",
+                baseline.display()
+            );
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let output = child.wait_with_output().expect("perfbench output");
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn missing_baseline_exits_2_before_measuring() {
+    let out = scratch("missing.json");
+    let baseline = PathBuf::from("/nonexistent");
+    let (code, stderr) = run_perfbench(&out, &baseline);
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("/nonexistent"), "stderr: {stderr}");
+    assert!(!out.exists(), "a rejected baseline must not write a JSON");
+}
+
+#[test]
+fn baseline_without_end_to_end_rows_exits_2_before_measuring() {
+    let out = scratch("empty.json");
+    let baseline = scratch("empty_baseline.json");
+    std::fs::write(&baseline, "{}\n").expect("write the empty baseline");
+    let (code, stderr) = run_perfbench(&out, &baseline);
+    std::fs::remove_file(&baseline).expect("remove the empty baseline");
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("no end_to_end rows"), "stderr: {stderr}");
+    assert!(!out.exists(), "a rejected baseline must not write a JSON");
+}

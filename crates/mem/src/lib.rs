@@ -58,7 +58,6 @@ pub mod mshr;
 pub mod prefetch;
 pub mod replacement;
 pub mod set_assoc;
-pub mod set_assoc_ref;
 pub mod stats;
 
 pub use accuracy::{AccuracySample, AccuracyWindow};
@@ -70,13 +69,10 @@ pub use hierarchy::{
     AccessResponse, DataClass, EvictionBuffer, MemoryHierarchy, PrefetchResponse, Requester,
     RequesterKind,
 };
-pub use inflight::{InflightRing, ReferenceInflightQueue};
+pub use inflight::InflightRing;
 pub use memory::{DramResponse, MainMemory};
 pub use mshr::{MshrEntry, MshrFile, MshrOutcome};
 pub use prefetch::NextLinePrefetcher;
-pub use replacement::{
-    Lru, RandomEvict, ReplacementKind, ReplacementPolicy, ReplacementState, TreePlru,
-};
+pub use replacement::{ReplacementKind, ReplacementState};
 pub use set_assoc::{Occupied, SetAssociative};
-pub use set_assoc_ref::ReferenceSetAssociative;
 pub use stats::{CacheStats, DelayBreakdown, HierarchyStats, NextLineStats, TrafficBreakdown};

@@ -8,16 +8,16 @@
 //! walks it — so it is laid out for speed: entries live in one flat `Vec`
 //! indexed by `set * ways + way`, replacement state is the bit-packed
 //! [`ReplacementState`] (one enum for the whole array instead of one boxed
-//! [`ReplacementPolicy`](crate::ReplacementPolicy) per set), and occupancy
-//! is counted incrementally. After construction no operation allocates.
+//! policy object per set), and occupancy is counted incrementally. After
+//! construction no operation allocates.
 //!
 //! A miss scans its set once: a caller that has just missed installs with
 //! [`SetAssociative::fill`], which picks the victim directly instead of
 //! repeating the tag search that [`SetAssociative::insert`] starts with.
 //!
-//! The boxed-policy formulation is retained as
-//! [`ReferenceSetAssociative`](crate::set_assoc_ref::ReferenceSetAssociative)
-//! and differential tests pin the two to identical behaviour.
+//! The boxed-policy formulation lives on as a test oracle in the
+//! `pv-tests` crate, and differential tests pin the two to identical
+//! behaviour.
 
 use crate::replacement::{ReplacementKind, ReplacementState};
 use std::fmt;

@@ -50,7 +50,7 @@ pub use core_model::CoreModel;
 pub use engine::{EngineSnapshot, PrefetchEngine, PvTableStats};
 pub use metrics::{mean_and_ci95, CoverageMetrics, RunMetrics};
 pub use repartition::{PlanChange, RepartitionConfig, RepartitionController, RepartitionMetrics};
-pub use system::{run_streams, run_workload, run_workload_mix, Scheduler, System};
+pub use system::{run_streams, run_workload, run_workload_mix, System};
 pub use throttle::{
     LevelChange, ThrottleConfig, ThrottleController, ThrottleMetrics, ThrottledEngine,
 };

@@ -15,25 +15,6 @@ use pv_workloads::{AccessStream, MemOp, TraceGenerator, TraceRecord, WorkloadPar
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Which run-loop picks the next core to step.
-///
-/// Both schedulers advance the core whose local clock is furthest behind,
-/// breaking ties by core index, and therefore produce bit-identical step
-/// orders and metrics. The event heap is the production path; the scan is
-/// the obviously-correct reference kept for differential testing (the same
-/// pattern as `pv_mem::ReferenceSetAssociative`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// `BinaryHeap` of ready cores keyed by `(now, idx)`, with a
-    /// run-until-overtaken inner loop: the popped core keeps stepping while
-    /// its clock stays ahead of (less than) the heap peek, so long record
-    /// runs on one lagging core cost zero heap traffic.
-    #[default]
-    EventHeap,
-    /// The original per-record `min_by_key` scan over every core.
-    ReferenceScan,
-}
-
 /// Per-core simulation state.
 struct CoreState {
     id: usize,
@@ -62,15 +43,11 @@ pub struct System {
     /// Scratch buffer the engines append predictions into (reused across
     /// accesses so the hot path stays allocation-free).
     actions: Vec<PrefetchAction>,
-    scheduler: Scheduler,
-    /// Ready-core heap for [`Scheduler::EventHeap`], keyed by `(now, idx)`.
-    /// Kept across phases so restarts are allocation-free.
+    /// Ready-core heap of the run loop, keyed by `(now, idx)`. Kept across
+    /// phases so restarts are allocation-free.
     ready: BinaryHeap<Reverse<(u64, usize)>>,
     /// Per-core record targets for the current phase (reused across phases).
     targets: Vec<u64>,
-    /// When present, every `step_core` appends the core index it stepped —
-    /// the differential tests compare schedulers on this exact sequence.
-    step_trace: Option<Vec<u32>>,
 }
 
 /// Compile-time guard: a whole [`System`] — streams, engines (including the
@@ -180,10 +157,8 @@ impl System {
             hierarchy,
             cores,
             actions: Vec::new(),
-            scheduler: Scheduler::default(),
             ready: BinaryHeap::new(),
             targets: Vec::new(),
-            step_trace: None,
         }
     }
 
@@ -300,34 +275,6 @@ impl System {
         self.cores.iter().map(|c| c.exhausted)
     }
 
-    /// Selects the run-loop implementation (event heap by default).
-    pub fn set_scheduler(&mut self, scheduler: Scheduler) {
-        self.scheduler = scheduler;
-    }
-
-    /// The run-loop implementation in use.
-    pub fn scheduler(&self) -> Scheduler {
-        self.scheduler
-    }
-
-    /// Starts (or stops) recording the core index of every step taken. The
-    /// differential tests compare schedulers on this exact sequence.
-    pub fn record_step_trace(&mut self, enabled: bool) {
-        self.step_trace = if enabled { Some(Vec::new()) } else { None };
-    }
-
-    /// Takes the recorded step order, leaving recording enabled with an
-    /// empty trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`Self::record_step_trace`] was not enabled.
-    pub fn take_step_trace(&mut self) -> Vec<u32> {
-        self.step_trace
-            .replace(Vec::new())
-            .expect("step-trace recording is not enabled")
-    }
-
     /// Runs the warm-up and measurement windows and returns the metrics of
     /// the measurement window.
     pub fn run(&mut self) -> RunMetrics {
@@ -339,37 +286,31 @@ impl System {
 
     /// Consumes up to `records_per_core` further trace records on every
     /// core (one scheduling phase), without touching warm-up state — the
-    /// building block benchmarks and scheduler tests drive directly.
+    /// building block benchmarks and the allocation tests drive directly.
     pub fn run_records(&mut self, records_per_core: u64) {
         self.run_phase(records_per_core);
     }
 
     /// Consumes up to `records_per_core` further trace records on every
     /// core, always advancing the core whose local clock is furthest behind
-    /// so the shared L2 sees a fair interleaving. A core whose stream ends
-    /// early simply stops participating: the timing model is synchronous
-    /// (no in-flight accesses to drain), so its statistics are coherent at
-    /// whatever point the trace ran out.
-    fn run_phase(&mut self, records_per_core: u64) {
-        self.targets.clear();
-        self.targets
-            .extend(self.cores.iter().map(|c| c.records_consumed + records_per_core));
-        match self.scheduler {
-            Scheduler::EventHeap => self.run_phase_heap(),
-            Scheduler::ReferenceScan => self.run_phase_reference(),
-        }
-    }
-
-    /// The event-heap run loop. The heap orders eligible cores by
+    /// (ties to the lower core index) so the shared L2 sees a fair
+    /// interleaving. A core whose stream ends early simply stops
+    /// participating: the timing model is synchronous (no in-flight
+    /// accesses to drain), so its statistics are coherent at whatever point
+    /// the trace ran out.
+    ///
+    /// The loop is an event heap. The heap orders eligible cores by
     /// `(now, idx)`; `Reverse` turns the max-heap into a min-heap, so the
-    /// pop is exactly the core the reference scan's first-minimum
-    /// `min_by_key` would pick. The popped core then runs until overtaken:
-    /// it keeps stepping while its key stays below the heap peek (strict
-    /// comparison — keys never tie, the indices differ), which consumes
-    /// long record runs on a lagging core with zero heap traffic. Cores
-    /// that exhaust or reach their target leave the heap instead of being
-    /// re-filtered on every step.
-    fn run_phase_heap(&mut self) {
+    /// pop is exactly the core a first-minimum `min_by_key` scan over every
+    /// core would pick. The popped core then runs until overtaken: it keeps
+    /// stepping while its key stays below the heap peek (strict comparison —
+    /// keys never tie, the indices differ), which consumes long record runs
+    /// on a lagging core with zero heap traffic. Cores that exhaust or reach
+    /// their target leave the heap instead of being re-filtered on every
+    /// step. The scan itself survives as the test-only oracle the unit
+    /// tests compare step orders against.
+    fn run_phase(&mut self, records_per_core: u64) {
+        self.set_targets(records_per_core);
         debug_assert!(self.ready.is_empty(), "the previous phase drained the heap");
         self.ready.clear();
         for (idx, core) in self.cores.iter().enumerate() {
@@ -395,20 +336,11 @@ impl System {
         }
     }
 
-    /// The reference run loop: rescan every core per record (the original
-    /// implementation, kept verbatim for differential testing).
-    fn run_phase_reference(&mut self) {
-        loop {
-            let next = self
-                .cores
-                .iter()
-                .enumerate()
-                .filter(|(idx, core)| !core.exhausted && core.records_consumed < self.targets[*idx])
-                .min_by_key(|(_, core)| core.model.now())
-                .map(|(idx, _)| idx);
-            let Some(idx) = next else { break };
-            self.step_core(idx);
-        }
+    /// Sets each core's record target for a phase of `records_per_core`.
+    fn set_targets(&mut self, records_per_core: u64) {
+        self.targets.clear();
+        self.targets
+            .extend(self.cores.iter().map(|c| c.records_consumed + records_per_core));
     }
 
     fn reset_measurement_state(&mut self) {
@@ -424,9 +356,6 @@ impl System {
     }
 
     fn step_core(&mut self, idx: usize) {
-        if let Some(trace) = &mut self.step_trace {
-            trace.push(idx as u32);
-        }
         let Some(record) = self.cores[idx].stream.next_record() else {
             self.cores[idx].exhausted = true;
             return;
@@ -913,5 +842,251 @@ mod tests {
             ideal_metrics.elapsed_cycles
         );
         assert!(queued_metrics.hierarchy.dram_busy_cycles > 0);
+    }
+}
+
+/// Scheduler differential tests: the event-heap run loop must reproduce the
+/// original per-record scan *exactly* — the same core stepped at every
+/// single decision point (the step order) and therefore the same
+/// interleaving at the shared L2 and bit-identical metrics digests.
+#[cfg(test)]
+mod scheduler_tests {
+    use super::*;
+    use pv_mem::{ContentionModel, HierarchyConfig};
+    use pv_trace::Scenario;
+    use pv_workloads::{workloads, TakeStream, WorkloadId};
+    use std::sync::{Arc, Mutex};
+
+    impl System {
+        /// The original run loop, kept as the oracle: rescan every core per
+        /// record and step the first one with the smallest clock.
+        fn run_phase_scan(&mut self, records_per_core: u64) {
+            self.set_targets(records_per_core);
+            loop {
+                let next = self
+                    .cores
+                    .iter()
+                    .enumerate()
+                    .filter(|(idx, core)| {
+                        !core.exhausted && core.records_consumed < self.targets[*idx]
+                    })
+                    .min_by_key(|(_, core)| core.model.now())
+                    .map(|(idx, _)| idx);
+                let Some(idx) = next else { break };
+                self.step_core(idx);
+            }
+        }
+
+        /// [`System::run`] over the scan loop.
+        fn run_scan(&mut self) -> RunMetrics {
+            self.run_phase_scan(self.config.warmup_records);
+            self.reset_measurement_state();
+            self.run_phase_scan(self.config.measure_records);
+            self.collect_metrics()
+        }
+    }
+
+    /// The core ids of one system's steps, in order.
+    type StepLog = Arc<Mutex<Vec<u32>>>;
+
+    /// A stream that appends its core id to a shared log on every
+    /// `next_record`. `step_core` pulls exactly one record per step (the
+    /// pull that finds a stream exhausted included), so the log is the
+    /// system's step order.
+    struct Logged {
+        core: u32,
+        inner: Box<dyn AccessStream>,
+        log: StepLog,
+    }
+
+    impl AccessStream for Logged {
+        fn next_record(&mut self) -> Option<TraceRecord> {
+            self.log.lock().expect("step log").push(self.core);
+            self.inner.next_record()
+        }
+
+        fn label(&self) -> &str {
+            self.inner.label()
+        }
+    }
+
+    /// Builds a system over `streams`, each wrapped to log into one shared
+    /// step log.
+    fn logged_system(config: &SimConfig, streams: Vec<Box<dyn AccessStream>>) -> (System, StepLog) {
+        let log = StepLog::default();
+        let streams = streams
+            .into_iter()
+            .enumerate()
+            .map(|(core, inner)| {
+                Box::new(Logged {
+                    core: core as u32,
+                    inner,
+                    log: Arc::clone(&log),
+                }) as Box<dyn AccessStream>
+            })
+            .collect();
+        (System::from_streams(config.clone(), streams), log)
+    }
+
+    /// A small config for `cores` cores so the differential sweeps stay fast.
+    fn config(cores: usize, prefetcher: PrefetcherKind, seed: u64) -> SimConfig {
+        let mut config = SimConfig::quick(prefetcher);
+        config.cores = cores;
+        config.hierarchy = HierarchyConfig::paper_baseline(cores);
+        config.warmup_records = 4_000;
+        config.measure_records = 6_000;
+        config.seed = seed;
+        config
+    }
+
+    /// Runs `config` over the streams `build` yields under the heap and the
+    /// scan and asserts the step orders and digests are identical.
+    fn assert_schedulers_agree(
+        config: &SimConfig,
+        build: impl Fn(&SimConfig) -> Vec<Box<dyn AccessStream>>,
+    ) {
+        let (mut heap, heap_log) = logged_system(config, build(config));
+        let (mut reference, reference_log) = logged_system(config, build(config));
+
+        let heap_metrics = heap.run();
+        let reference_metrics = reference.run_scan();
+
+        let heap_trace = heap_log.lock().expect("step log");
+        let reference_trace = reference_log.lock().expect("step log");
+        assert_eq!(
+            heap_trace.len(),
+            reference_trace.len(),
+            "schedulers took a different number of steps"
+        );
+        if let Some(step) = heap_trace.iter().zip(reference_trace.iter()).position(|(a, b)| a != b)
+        {
+            panic!(
+                "step order diverged at step {step}: heap chose core {}, reference core {}",
+                heap_trace[step], reference_trace[step]
+            );
+        }
+        assert_eq!(
+            heap_metrics.digest(),
+            reference_metrics.digest(),
+            "identical step order must yield identical digests"
+        );
+        assert!(heap.records_consumed().eq(reference.records_consumed()));
+        assert!(heap.exhausted().eq(reference.exhausted()));
+    }
+
+    /// One generator stream per core, each core on its own workload.
+    fn generator_streams(config: &SimConfig) -> Vec<Box<dyn AccessStream>> {
+        let rotation = [
+            workloads::qry1(),
+            workloads::apache(),
+            workloads::db2(),
+            workloads::qry17(),
+            workloads::qry2(),
+        ];
+        (0..config.cores)
+            .map(|core| {
+                let workload: &WorkloadParams = &rotation[core % rotation.len()];
+                Box::new(TraceGenerator::new(workload, config.seed, core)) as Box<dyn AccessStream>
+            })
+            .collect()
+    }
+
+    #[test]
+    fn heap_matches_reference_on_mixed_generators_1_to_8_cores() {
+        for cores in 1..=8 {
+            let config = config(cores, PrefetcherKind::None, 7 + cores as u64);
+            assert_schedulers_agree(&config, generator_streams);
+        }
+    }
+
+    #[test]
+    fn heap_matches_reference_with_prefetchers_and_contention() {
+        for (seed, kind) in [
+            (11, PrefetcherKind::sms_1k_11a()),
+            (13, PrefetcherKind::sms_pv8()),
+            (17, PrefetcherKind::markov_1k()),
+        ] {
+            let mut config = config(4, kind, seed);
+            if seed == 13 {
+                config.hierarchy = config.hierarchy.with_contention(ContentionModel::Queued);
+            }
+            assert_schedulers_agree(&config, generator_streams);
+        }
+    }
+
+    #[test]
+    fn heap_matches_reference_when_finite_streams_exhaust_mid_phase() {
+        // Limits straddle every interesting boundary: mid-warmup, exactly at
+        // the phase edge, mid-measurement, and beyond the run.
+        let config = config(4, PrefetcherKind::sms_1k_11a(), 23);
+        let full = config.warmup_records + config.measure_records;
+        let limits = [
+            config.warmup_records / 2,
+            config.warmup_records,
+            config.warmup_records + config.measure_records / 3,
+            full + 1_000,
+        ];
+        assert_schedulers_agree(&config, move |config| {
+            (0..config.cores)
+                .map(|core| {
+                    let generator = TraceGenerator::new(&workloads::qry1(), config.seed, core);
+                    Box::new(TakeStream::new(generator, limits[core])) as Box<dyn AccessStream>
+                })
+                .collect()
+        });
+    }
+
+    #[test]
+    fn heap_matches_reference_on_scenario_streams() {
+        let config = config(4, PrefetcherKind::sms_pv8(), 29);
+        let scenario = Scenario::PhaseFlip {
+            a: WorkloadId::Qry1,
+            b: WorkloadId::Apache,
+            period: 2_500,
+        };
+        assert_schedulers_agree(&config, move |config| {
+            scenario.build_streams(config.cores, config.seed)
+        });
+    }
+
+    /// Regression: a core that exhausts *inside* the run-until-overtaken
+    /// burst (here: a single core, so the heap is empty and the burst never
+    /// ends until the stream dries up) must retire cleanly, leave the heap,
+    /// and report coherent statistics.
+    #[test]
+    fn core_exhausting_inside_burst_retires_cleanly() {
+        let solo = config(1, PrefetcherKind::sms_1k_11a(), 31);
+        let short = solo.warmup_records + solo.measure_records / 2;
+        let mut system = System::from_streams(
+            solo.clone(),
+            vec![Box::new(TakeStream::new(
+                TraceGenerator::new(&workloads::qry1(), solo.seed, 0),
+                short,
+            )) as Box<dyn AccessStream>],
+        );
+        let metrics = system.run();
+        assert!(system.records_consumed().eq([short]));
+        assert!(system.exhausted().eq([true]));
+        assert!(metrics.total_instructions > 0);
+        assert!(metrics.per_core_ipc.iter().all(|&ipc| ipc > 0.0));
+
+        // And the multi-core variant: the lagging core bursts while the
+        // others idle far ahead, then runs dry mid-burst — differentially
+        // checked.
+        let multi = config(3, PrefetcherKind::None, 37);
+        let short = multi.warmup_records / 3;
+        assert_schedulers_agree(&multi, move |config| {
+            (0..config.cores)
+                .map(|core| {
+                    let generator = TraceGenerator::new(&workloads::qry17(), config.seed, core);
+                    let stream: Box<dyn AccessStream> = if core == 1 {
+                        Box::new(TakeStream::new(generator, short))
+                    } else {
+                        Box::new(generator)
+                    };
+                    stream
+                })
+                .collect()
+        });
     }
 }

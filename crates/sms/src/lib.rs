@@ -34,9 +34,13 @@
 //! let mut sms = SmsPrefetcher::new(config, Box::new(storage));
 //! let mut hierarchy = MemoryHierarchy::new(HierarchyConfig::paper_baseline(1));
 //!
-//! // Feed an access; a cold trigger produces no prefetches yet.
-//! let actions = sms.on_data_access(0x400, 0x10_0000, &mut hierarchy, None, 0);
-//! assert!(actions.prefetches.is_empty());
+//! // Feed an access; a cold trigger produces no prefetches yet. The engine
+//! // appends its prefetches to a caller-owned buffer.
+//! let mut prefetches = Vec::new();
+//! let decision =
+//!     sms.on_data_access_into(0x400, 0x10_0000, &mut hierarchy, None, 0, &mut prefetches);
+//! assert!(decision.triggered);
+//! assert!(prefetches.is_empty());
 //! ```
 //!
 //! Running the same engine over the virtualized PHT only changes the
@@ -51,8 +55,9 @@
 //! let mut hierarchy = MemoryHierarchy::new(hierarchy_config);
 //! let pht = VirtualizedPht::new(0, PvConfig::pv8(), hierarchy_config.pv_regions.core_base(0));
 //! let mut sms = SmsPrefetcher::new(SmsConfig::paper_1k_11a(), Box::new(pht));
-//! let response = sms.on_data_access(0x400, 0x10_0000, &mut hierarchy, None, 0);
-//! assert!(response.prefetches.is_empty()); // nothing learned yet
+//! let mut prefetches = Vec::new();
+//! sms.on_data_access_into(0x400, 0x10_0000, &mut hierarchy, None, 0, &mut prefetches);
+//! assert!(prefetches.is_empty()); // nothing learned yet
 //! ```
 
 #![forbid(unsafe_code)]
@@ -72,6 +77,6 @@ pub use config::{PhtGeometry, SmsConfig};
 pub use index::{PhtIndex, TriggerKey};
 pub use pattern::SpatialPattern;
 pub use pht::{build_storage, DedicatedPht, InfinitePht, PatternLookup, PatternStorage};
-pub use prefetcher::{AccessDecision, EngineResponse, PrefetchAction, SmsPrefetcher};
+pub use prefetcher::{AccessDecision, PrefetchAction, SmsPrefetcher};
 pub use stats::SmsStats;
 pub use virtualized::{SmsEntry, VirtualizedPht};

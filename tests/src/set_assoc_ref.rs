@@ -1,20 +1,13 @@
-//! The pre-flattening set-associative array, retained as a behavioural
-//! reference.
+//! The pre-flattening set-associative array, kept as a test oracle.
 //!
-//! This is the original formulation of [`SetAssociative`](crate::SetAssociative):
-//! a `Vec` of `Vec`s of ways with one boxed [`ReplacementPolicy`] per set and
-//! a temporary valid-mask allocated on every insert. It is deliberately kept
-//! byte-for-byte faithful to that implementation (allocations included) so
-//! that
-//!
-//! * differential tests can drive it and the flat array with the same
-//!   seeded op streams and assert identical hits, evictions and victims, and
-//! * `perfbench` can measure the flat array's speedup against it honestly.
-//!
-//! It must not be used on any simulation path.
+//! This is the original formulation of `pv_mem::SetAssociative`: a `Vec`
+//! of `Vec`s of ways with one boxed [`ReplacementPolicy`] per set and a
+//! temporary valid-mask allocated on every insert. The differential tests
+//! drive it and the flat array with the same seeded op streams and assert
+//! identical hits, evictions and victims.
 
-use crate::replacement::{ReplacementKind, ReplacementPolicy};
-use crate::set_assoc::Occupied;
+use crate::replacement::{build_policy, ReplacementPolicy};
+use pv_mem::{Occupied, ReplacementKind};
 use std::fmt;
 
 /// The boxed-policy reference set-associative array.
@@ -47,7 +40,7 @@ impl<T> ReferenceSetAssociative<T> {
         assert!(sets > 0, "a set-associative array needs at least one set");
         assert!(ways > 0, "a set-associative array needs at least one way");
         let entries = (0..sets).map(|_| (0..ways).map(|_| None).collect()).collect();
-        let policies = (0..sets).map(|set| replacement.build(ways, set as u64)).collect();
+        let policies = (0..sets).map(|set| build_policy(replacement, ways, set as u64)).collect();
         ReferenceSetAssociative {
             sets,
             ways,

@@ -1,11 +1,11 @@
 //! Differential tests: the allocation-free hot-path structures against the
-//! retained reference implementations.
+//! reference implementations in `pv_tests`.
 //!
 //! The flat [`SetAssociative`] (packed replacement state, no boxed policies,
 //! no per-insert valid-mask) and the word-level packing codec replaced
 //! allocation-heavy originals in the per-access simulation path. Those
-//! originals are kept as [`ReferenceSetAssociative`] and
-//! [`packing::reference`]; here both generations are driven with identical
+//! originals are kept as test oracles, [`ReferenceSetAssociative`] and
+//! [`packing_ref`]; here both generations are driven with identical
 //! seeded random op streams and must agree on every observable: hits,
 //! misses, evicted victims, occupancy, and bit-exact packed block layouts.
 //! The flat [`MshrFile`] is checked the same way against an ordered-map
@@ -13,7 +13,8 @@
 //! width, shift and block edge.
 
 use pv_core::{decode_set, encode_set, packing, PvLayout, PvSet, RawEntry};
-use pv_mem::{ReferenceSetAssociative, ReplacementKind, SetAssociative};
+use pv_mem::{ReplacementKind, SetAssociative};
+use pv_tests::{packing_ref, ReferenceInflightQueue, ReferenceSetAssociative};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -142,7 +143,7 @@ fn word_level_codec_matches_reference_bit_layout() {
         let set = random_set(&mut rng, &layout, occupancy);
 
         let word_block = encode_set(&set, &layout);
-        let bit_block = packing::reference::encode_set(&set, &layout);
+        let bit_block = packing_ref::encode_set(&set, &layout);
         assert_eq!(
             &word_block[..],
             &bit_block[..],
@@ -150,7 +151,7 @@ fn word_level_codec_matches_reference_bit_layout() {
         );
 
         let word_decoded: PvSet<RawEntry> = decode_set(&word_block, &layout);
-        let bit_decoded: PvSet<RawEntry> = packing::reference::decode_set(&word_block, &layout);
+        let bit_decoded: PvSet<RawEntry> = packing_ref::decode_set(&word_block, &layout);
         let word_order: Vec<&RawEntry> = word_decoded.iter().collect();
         let bit_order: Vec<&RawEntry> = bit_decoded.iter().collect();
         assert_eq!(word_order, bit_order, "decode diverged for {layout:?}");
@@ -174,22 +175,17 @@ fn codec_generations_cross_decode() {
             let payload = rng.gen_range(0u64..=layout.max_payload());
             let offset = slot * layout.entry_bits() as usize;
             packing::write_bits(&mut word_buf, offset, tag, layout.tag_bits);
-            packing::reference::write_bits(&mut bit_buf, offset, tag, layout.tag_bits);
+            packing_ref::write_bits(&mut bit_buf, offset, tag, layout.tag_bits);
             let payload_offset = offset + layout.tag_bits as usize;
             packing::write_bits(&mut word_buf, payload_offset, payload, layout.payload_bits);
-            packing::reference::write_bits(
-                &mut bit_buf,
-                payload_offset,
-                payload,
-                layout.payload_bits,
-            );
+            packing_ref::write_bits(&mut bit_buf, payload_offset, payload, layout.payload_bits);
         }
         assert_eq!(
             word_buf, bit_buf,
             "raw field writes diverged for {layout:?}"
         );
         let a: PvSet<RawEntry> = decode_set(&word_buf, &layout);
-        let b: PvSet<RawEntry> = packing::reference::decode_set(&word_buf, &layout);
+        let b: PvSet<RawEntry> = packing_ref::decode_set(&word_buf, &layout);
         let a_order: Vec<&RawEntry> = a.iter().collect();
         let b_order: Vec<&RawEntry> = b.iter().collect();
         assert_eq!(
@@ -204,10 +200,7 @@ fn codec_generations_cross_decode() {
 // reference deque, replicated over the full channel timing model.
 // ---------------------------------------------------------------------------
 
-use pv_mem::{
-    Address, ContentionModel, DramConfig, MainMemory, PvRegionConfig, ReferenceInflightQueue,
-    BLOCK_OFFSET_BITS,
-};
+use pv_mem::{Address, ContentionModel, DramConfig, MainMemory, PvRegionConfig, BLOCK_OFFSET_BITS};
 
 /// The pre-ring Queued channel service, reimplemented verbatim around
 /// [`ReferenceInflightQueue`]: growable deque, `len - depth` admission
@@ -515,7 +508,7 @@ fn read_bits_matches_reference_at_every_width_shift_and_block_edge() {
                 let offset = first * 8 + shift;
                 assert_eq!(
                     packing::read_bits(&block, offset, bits),
-                    packing::reference::read_bits(&block, offset, bits),
+                    packing_ref::read_bits(&block, offset, bits),
                     "bits {bits}, shift {shift}, first byte {first}"
                 );
             }
