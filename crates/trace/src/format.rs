@@ -432,6 +432,64 @@ pub fn encode_records_with_layout(
     writer.finish()
 }
 
+/// Checks the op code of each of the first `records` records of a parsed
+/// trace. Every other field decodes from any bit pattern, but op code `3`
+/// (both op bits set) names no [`MemOp`], so this is the body check that
+/// makes decoding infallible. Each block is tested whole, as eight words
+/// against a mask of its op fields, in one branch-free pass over the body
+/// that allocates nothing.
+///
+/// # Errors
+///
+/// Returns [`TraceError::BadOp`] when any record's op code is `3`.
+pub(crate) fn check_ops(data: &[u8], layout: &TraceLayout, records: u64) -> Result<(), TraceError> {
+    const INVALID: u8 = 0b11;
+    debug_assert!(decode_op(INVALID).is_err());
+    let per_block = layout.records_per_block() as u64;
+    let full_blocks = (records / per_block) as usize;
+    let (full, tail) = data[HEADER_BYTES..].split_at(full_blocks * BLOCK_BYTES);
+    let mask = op_low_bits(layout, per_block);
+    let mut invalid = full
+        .chunks_exact(BLOCK_BYTES)
+        .fold(0, |invalid, block| invalid | invalid_ops(block, &mask));
+    if !tail.is_empty() {
+        invalid |= invalid_ops(tail, &op_low_bits(layout, records % per_block));
+    }
+    if invalid != 0 {
+        return Err(TraceError::BadOp(INVALID));
+    }
+    Ok(())
+}
+
+/// A block-sized bit mask with the low bit of each of the first `slots` op
+/// fields set, in [`read_bits`] order (bit `b` is bit `b % 64` of
+/// little-endian word `b / 64`).
+fn op_low_bits(layout: &TraceLayout, slots: u64) -> [u64; BLOCK_BYTES / 8] {
+    let mut mask = [0; BLOCK_BYTES / 8];
+    for slot in 0..slots {
+        let bit =
+            slot * u64::from(layout.record_bits()) + u64::from(layout.pc_bits + layout.addr_bits);
+        mask[(bit / 64) as usize] |= 1 << (bit % 64);
+    }
+    mask
+}
+
+/// Nonzero when a field marked in `mask` holds op code `3` in `block`.
+fn invalid_ops(block: &[u8], mask: &[u64; BLOCK_BYTES / 8]) -> u64 {
+    let block: &[u8; BLOCK_BYTES] = block.try_into().expect("a whole block");
+    let words: [u64; BLOCK_BYTES / 8] = std::array::from_fn(|i| {
+        u64::from_le_bytes(block[8 * i..8 * i + 8].try_into().expect("eight bytes"))
+    });
+    let mut invalid = 0;
+    for (i, word) in words.iter().enumerate() {
+        // A field's high bit is the next bit up: for bit 63, bit 0 of the
+        // next word.
+        let carry = words.get(i + 1).map_or(0, |next| next << 63);
+        invalid |= word & (word >> 1 | carry) & mask[i];
+    }
+    invalid
+}
+
 /// Decodes the record at `index` of a parsed trace. Shared by the replay
 /// stream and the random-access tests.
 pub(crate) fn decode_at(
@@ -578,6 +636,45 @@ mod tests {
             ..TraceLayout::DEFAULT
         };
         assert!(matches!(zero.validate(), Err(TraceError::BadLayout(_))));
+    }
+
+    /// The block-at-once op check must agree with decoding, slot by slot,
+    /// including layouts whose op field straddles a 64-bit word (31 + 32
+    /// bits put slot 0's at bits 63..65) and partial last blocks.
+    #[test]
+    fn the_op_check_agrees_with_decoding_on_every_slot() {
+        for (pc_bits, addr_bits, imm_bits) in [(48, 48, 14), (31, 32, 5), (1, 1, 1), (64, 64, 32)] {
+            let layout = TraceLayout {
+                pc_bits,
+                addr_bits,
+                imm_bits,
+            };
+            let per_block = layout.records_per_block() as u64;
+            let records = 2 * per_block + 1;
+            let clean = encode_records_with_layout(
+                &vec![TraceRecord::store(1, 1, 1); records as usize],
+                layout,
+                Provenance::default(),
+            );
+            assert_eq!(check_ops(&clean, &layout, records), Ok(()));
+            for index in 0..records {
+                let bit = 8 * (HEADER_BYTES + (index / per_block) as usize * BLOCK_BYTES)
+                    + (index % per_block) as usize * layout.record_bits() as usize
+                    + (pc_bits + addr_bits) as usize;
+                let mut corrupt = clean.clone();
+                write_bits(&mut corrupt, bit, 0b11, OP_BITS);
+                assert_eq!(
+                    decode_at(&corrupt, &layout, index),
+                    Err(TraceError::BadOp(3)),
+                    "{layout:?} record {index}"
+                );
+                assert_eq!(
+                    check_ops(&corrupt, &layout, records),
+                    Err(TraceError::BadOp(3)),
+                    "{layout:?} record {index}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -6,12 +6,12 @@
 //! encoder used). A field whose first byte is among the block's first 49
 //! is read as one fixed-size `u128` load of the 16 bytes from there; only
 //! fields starting in the last 15 bytes go through a zero-padded copy.
-//! The header is validated up front — bad magic, unknown versions,
-//! malformed layouts, and truncated bodies are all rejected before the
-//! first record is produced — so the hot path contains no error handling
-//! at all.
+//! The trace is validated up front — bad magic, unknown versions,
+//! malformed layouts, bodies of the wrong length and invalid op codes are
+//! all rejected before the first record is produced — so the hot path
+//! contains no error handling at all.
 
-use crate::format::{decode_at, TraceError, TraceHeader};
+use crate::format::{check_ops, decode_at, TraceError, TraceHeader};
 use pv_workloads::{AccessStream, TraceRecord};
 
 /// Replays the records of an encoded trace, in order, then ends.
@@ -34,11 +34,13 @@ impl ReplayStream {
     ///
     /// # Errors
     ///
-    /// Returns the [`TraceError`] from header validation: bad magic,
+    /// Returns the [`TraceError`] from header validation (bad magic,
     /// unsupported version, malformed layout, or a body whose length is not
-    /// exactly what the record count implies.
+    /// exactly what the record count implies), or [`TraceError::BadOp`] when
+    /// a record's op code names no operation.
     pub fn new(data: Vec<u8>) -> Result<ReplayStream, TraceError> {
         let header = TraceHeader::parse(&data)?;
+        check_ops(&data, &header.layout, header.records)?;
         let label = format!(
             "replay:core{}:seed{:#x}",
             header.provenance.core, header.provenance.seed
@@ -73,7 +75,7 @@ impl AccessStream for ReplayStream {
             return None;
         }
         let record = decode_at(&self.data, &self.header.layout, self.next)
-            .expect("body was validated against the header at construction");
+            .expect("length and op codes were validated at construction");
         self.next += 1;
         Some(record)
     }
@@ -172,6 +174,29 @@ mod tests {
                 actual: HEADER_BYTES,
             }
         );
+    }
+
+    /// Op code 3 names no operation. A record carrying it must be refused at
+    /// construction, not panic when the stream reaches it; the unused slots
+    /// of a partial last block are never decoded, so they are not checked.
+    #[test]
+    fn an_invalid_op_code_in_the_body_is_rejected_at_construction() {
+        let records: Vec<_> = TraceGenerator::new(&workloads::apache(), 3, 0).take(10).collect();
+        let bytes = encode_records(&records, Provenance::default());
+        // Default layout: the op field of slot `s` starts at bit
+        // `112 * s + 96` of its block, which is byte-aligned for slots 0 and 1.
+        for (index, byte) in [(0, HEADER_BYTES + 12), (9, HEADER_BYTES + 128 + 26)] {
+            let mut corrupt = bytes.clone();
+            corrupt[byte] |= 0b11;
+            assert_eq!(
+                ReplayStream::new(corrupt).unwrap_err(),
+                TraceError::BadOp(3),
+                "record {index}"
+            );
+        }
+        let mut padding = bytes.clone();
+        padding[HEADER_BYTES + 128 + 40] |= 0b11; // slot 2 of the last block
+        assert_eq!(ReplayStream::new(padding).expect("valid trace").count(), 10);
     }
 
     #[test]

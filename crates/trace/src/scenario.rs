@@ -307,6 +307,12 @@ fn triangle_pct(step: u32, steps: u32) -> i64 {
 /// non-memory instructions between accesses and a larger instantaneous
 /// footprint (less reuse), which raises the L2 miss rate — the knob the
 /// diurnal and flash-crowd scenarios modulate.
+///
+/// # Panics
+///
+/// Panics if the scaled parameters fail [`WorkloadParams::validate`]: a
+/// data footprint scaled past its bound would run into the irregular heap
+/// (Oracle's 180 K regions allow at most +154%).
 pub fn intensify(base: &WorkloadParams, pct: i64) -> WorkloadParams {
     let pct = pct.clamp(-90, 400);
     let scale = |value: usize| -> usize {

@@ -40,6 +40,17 @@ const DATA_OFFSET: u64 = 0x0800_0000;
 const IRREGULAR_OFFSET: u64 = 0x4000_0000;
 /// Size of the irregular heap in blocks (64 MB).
 const IRREGULAR_BLOCKS: u64 = 1 << 20;
+/// Offset of the irregular accesses' PCs within a core's address space;
+/// trigger-context PCs sit 4 bytes apart below it.
+const IRREGULAR_PC_OFFSET: u64 = 0x10_0000;
+
+/// Most trigger contexts whose PCs stay below the irregular PCs.
+pub(crate) const MAX_CONTEXTS: usize = (IRREGULAR_PC_OFFSET / 4) as usize;
+/// Most data regions that fit between the data pool and the irregular heap.
+pub(crate) const MAX_DATA_REGIONS: usize =
+    ((IRREGULAR_OFFSET - DATA_OFFSET) / REGION_BYTES) as usize;
+/// Most code blocks that fit below the data pool.
+pub(crate) const MAX_CODE_BLOCKS: usize = (DATA_OFFSET / BLOCK_BYTES) as usize;
 
 /// One trigger context: a program counter and the canonical spatial pattern
 /// it produces.
@@ -124,7 +135,7 @@ impl TraceGenerator {
             })
             .collect();
         let irregular_pcs: Vec<u64> = (0..(params.contexts / 4).max(8))
-            .map(|i| code_base + 0x10_0000 + (i as u64) * 4)
+            .map(|i| code_base + IRREGULAR_PC_OFFSET + (i as u64) * 4)
             .collect();
 
         let context_sampler = ZipfSampler::new(params.contexts, params.context_zipf);

@@ -1,5 +1,7 @@
 //! Workload-generator parameters.
 
+use crate::generator::{MAX_CODE_BLOCKS, MAX_CONTEXTS, MAX_DATA_REGIONS};
+
 /// Number of cache blocks per spatial region (32 in the paper, i.e. 2 KB
 /// regions of 64 B blocks).
 pub const BLOCKS_PER_REGION: u32 = 32;
@@ -92,24 +94,44 @@ impl WorkloadParams {
                 message: "name must not be empty".to_owned(),
             });
         }
-        if self.contexts == 0 {
-            return Err(InvalidWorkload {
-                message: "contexts must be positive".to_owned(),
-            });
-        }
-        if self.data_regions == 0 {
-            return Err(InvalidWorkload {
-                message: "data_regions must be positive".to_owned(),
-            });
+        // Each upper bound keeps one of the generator's address ranges
+        // below the next one in a core's address space.
+        for (name, value, max, next) in [
+            (
+                "contexts",
+                self.contexts,
+                MAX_CONTEXTS,
+                "context PCs reach the irregular PCs",
+            ),
+            (
+                "data_regions",
+                self.data_regions,
+                MAX_DATA_REGIONS,
+                "the data pool reaches the irregular heap",
+            ),
+            (
+                "code_blocks",
+                self.code_blocks,
+                MAX_CODE_BLOCKS,
+                "code reaches the data pool",
+            ),
+        ] {
+            if value == 0 {
+                return Err(InvalidWorkload {
+                    message: format!("{name} must be positive"),
+                });
+            }
+            if value > max {
+                return Err(InvalidWorkload {
+                    message: format!(
+                        "{name} must be at most {max} (beyond that {next}), got {value}"
+                    ),
+                });
+            }
         }
         if self.active_generations == 0 {
             return Err(InvalidWorkload {
                 message: "active_generations must be positive".to_owned(),
-            });
-        }
-        if self.code_blocks == 0 {
-            return Err(InvalidWorkload {
-                message: "code_blocks must be positive".to_owned(),
             });
         }
         fraction("pattern_density", self.pattern_density)?;
@@ -181,6 +203,35 @@ mod tests {
         params.contexts = 0;
         let err = params.validate().unwrap_err();
         assert!(err.to_string().contains("contexts"));
+    }
+
+    /// Beyond these counts one generator address range runs into the next:
+    /// context PCs into the irregular PCs at `+0x10_0000`, the data pool at
+    /// `+0x0800_0000` into the irregular heap at `+0x4000_0000`, and code
+    /// into the data pool.
+    #[test]
+    fn address_range_bounds_accept_the_maximum_and_reject_one_more() {
+        type Field = fn(&mut crate::WorkloadParams) -> &mut usize;
+        let fields: [(&str, Field, usize); 3] = [
+            ("contexts", |p| &mut p.contexts, 262_144),
+            ("data_regions", |p| &mut p.data_regions, 458_752),
+            ("code_blocks", |p| &mut p.code_blocks, 2_097_152),
+        ];
+        for (name, field, max) in fields {
+            let mut params = workloads::apache();
+            assert!(
+                *field(&mut params) < max,
+                "paper values are far below {name}'s bound"
+            );
+            *field(&mut params) = max;
+            params.validate().unwrap_or_else(|e| panic!("{name} = {max}: {e}"));
+            *field(&mut params) = max + 1;
+            let err = params.validate().expect_err(name).to_string();
+            assert!(
+                err.contains(name) && err.contains(&max.to_string()),
+                "{err}"
+            );
+        }
     }
 
     #[test]
