@@ -79,13 +79,13 @@ pub fn rows_for(runner: &Runner, workloads: &[WorkloadId]) -> Vec<BandwidthRow> 
                 cycles_per_transfer,
             };
             specs.push(RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::None,
                 hierarchy,
             });
             for prefetcher in configurations() {
                 specs.push(RunSpec {
-                    workload,
+                    workload: workload.into(),
                     prefetcher,
                     hierarchy,
                 });
@@ -101,13 +101,13 @@ pub fn rows_for(runner: &Runner, workloads: &[WorkloadId]) -> Vec<BandwidthRow> 
                 cycles_per_transfer,
             };
             let baseline = runner.metrics(&RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::None,
                 hierarchy,
             });
             for prefetcher in configurations() {
                 let metrics: Arc<_> = runner.metrics(&RunSpec {
-                    workload,
+                    workload: workload.into(),
                     prefetcher,
                     hierarchy,
                 });

@@ -1,5 +1,5 @@
-//! Fleet sweep CLI: expand a configuration grid and drain it over
-//! work-stealing worker threads, streaming JSON Lines.
+//! Fleet sweep CLI: expand a configuration grid and drain it over worker
+//! threads, streaming JSON Lines.
 //!
 //! ```text
 //! cargo run --release -p pv-experiments --bin fleet -- \
@@ -11,20 +11,21 @@
 //!     [--scenarios] [--throttle] [--out sweep.jsonl]
 //! ```
 //!
-//! Defaults sweep the 64-point grid of `FleetGrid::default_grid` at the
-//! `PV_REPRO_SCALE` scale over all available host threads. `--cpt 0` is the
-//! paper's `Ideal` fixed-latency DRAM; non-zero values run `Queued`
-//! contention at that cycles-per-transfer. `--scenarios` appends the
+//! Defaults sweep the 64-point grid of `FleetGrid::default_grid` at quick
+//! scale over all available host threads. `--cpt 0` is the paper's
+//! `Ideal` fixed-latency DRAM; non-zero values run `Queued` contention at
+//! that cycles-per-transfer. `--scenarios` appends the
 //! non-stationary scenario compositions as additional workload points;
 //! `--throttle` additionally sweeps every throttleable kind under the
 //! default feedback policy. Rows carry no timing, so
 //! `grep '"type": "run"' out.jsonl | sort` is byte-stable across thread
-//! counts; wall-clock throughput lives in the summary footer.
+//! counts; wall-clock throughput lives in the summary footer. A sink that
+//! fails (a closed pipe, a full disk) exits 1 with the error.
 
 use pv_experiments::fleet::{
-    default_scenarios, kind_names, parse_kind, parse_workload, run_fleet, FleetGrid, FleetWorkload,
+    default_scenarios, kind_names, parse_kind, parse_workload, run_fleet, FleetGrid,
 };
-use pv_experiments::Scale;
+use pv_experiments::{Scale, Workload};
 
 fn fail(message: &str) -> ! {
     eprintln!("{message}");
@@ -37,7 +38,7 @@ fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> String {
 
 fn main() {
     let mut grid = FleetGrid::default_grid();
-    let mut scale = Scale::from_env();
+    let mut scale = Scale::Quick;
     let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     let mut out_path: Option<String> = None;
     let mut scenarios = false;
@@ -80,7 +81,7 @@ fn main() {
                     .split(',')
                     .map(|name| {
                         parse_workload(name.trim())
-                            .map(FleetWorkload::Homogeneous)
+                            .map(Workload::Homogeneous)
                             .unwrap_or_else(|| fail(&format!("unknown workload '{}'", name.trim())))
                     })
                     .collect();
@@ -108,7 +109,7 @@ fn main() {
                 let mix: [pv_workloads::WorkloadId; 4] = parts
                     .try_into()
                     .unwrap_or_else(|_| fail("--mix expects exactly four +-joined workloads"));
-                grid.workloads.push(FleetWorkload::Mix(mix));
+                grid.workloads.push(Workload::Mix(mix));
             }
             "--scenarios" => scenarios = true,
             "--throttle" => grid.throttle = true,
@@ -141,19 +142,18 @@ fn main() {
         threads
     );
 
-    let summary = match out_path {
+    let result = match out_path {
         Some(path) => {
             let file = std::fs::File::create(&path)
                 .unwrap_or_else(|e| fail(&format!("failed to create {path}: {e}")));
-            let mut sink = std::io::BufWriter::new(file);
-            run_fleet(points, scale, threads, &mut sink)
+            run_fleet(points, scale, threads, &mut std::io::BufWriter::new(file))
         }
-        None => {
-            let stdout = std::io::stdout();
-            let mut sink = stdout.lock();
-            run_fleet(points, scale, threads, &mut sink)
-        }
+        None => run_fleet(points, scale, threads, &mut std::io::stdout()),
     };
+    let summary = result.unwrap_or_else(|e| {
+        eprintln!("fleet: writing the output failed: {e}");
+        std::process::exit(1);
+    });
     eprintln!(
         "fleet: {} runs in {:.1}s ({:.2} runs/sec on {} threads)",
         summary.points, summary.seconds, summary.runs_per_sec, summary.threads

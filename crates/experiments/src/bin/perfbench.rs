@@ -21,9 +21,9 @@
 //!   against the general one (`hierarchy/access_hit_fastpath`) and the
 //!   cached-bounds PV classification against the region lookup it replaced
 //!   (`hierarchy/classify_hoisted`);
-//! * fleet throughput: a small grid swept through the work-stealing fleet
-//!   driver on one thread and on all host threads (runs/sec each, and the
-//!   scaling efficiency between them).
+//! * fleet throughput: a small grid swept through the fleet driver on one
+//!   thread and on all host threads (runs/sec each, and the scaling
+//!   efficiency between them).
 //!
 //! Each end-to-end row also carries a digest of the run's `RunMetrics`
 //! (cycles, misses, traffic, coverage): optimisation PRs must keep those
@@ -58,8 +58,8 @@
 //! instruction-level attribution.
 
 use pv_core::{decode_set, encode_set, PvLayout, PvSet, RawEntry};
-use pv_experiments::fleet::{run_fleet, FleetGrid, FleetWorkload};
-use pv_experiments::Scale;
+use pv_experiments::fleet::{run_fleet, FleetGrid};
+use pv_experiments::{RunSpec, Scale, Workload};
 use pv_mem::{
     AccessKind, BlockAddr, ContentionModel, DataClass, DelayBreakdown, DramConfig, EvictionBuffer,
     HierarchyConfig, InflightRing, MainMemory, MemoryHierarchy, MshrFile, PvRegionConfig,
@@ -115,18 +115,6 @@ fn all_kinds() -> Vec<PrefetcherKind> {
         PrefetcherKind::sms_pv8_throttled(),
         PrefetcherKind::markov_pv8_throttled(),
     ]
-}
-
-fn smoke_config(prefetcher: PrefetcherKind) -> SimConfig {
-    let mut config = SimConfig::quick(prefetcher);
-    config.warmup_records = 20_000;
-    config.measure_records = 30_000;
-    // Cohabiting kinds hold two tables per core; grow the PV region to fit.
-    let needed = config.prefetcher.pv_bytes_per_core();
-    if needed > config.hierarchy.pv_regions.bytes_per_core {
-        config.hierarchy = config.hierarchy.with_pv_bytes_per_core(needed);
-    }
-    config
 }
 
 struct EndToEnd {
@@ -444,7 +432,7 @@ fn bench_hit_general(iters: u64) -> f64 {
 }
 
 /// One fleet-throughput measurement: the small grid swept through the
-/// work-stealing driver at smoke scale.
+/// fleet driver at smoke scale.
 struct FleetBench {
     points: usize,
     threads: usize,
@@ -455,14 +443,15 @@ fn bench_fleet(threads: usize) -> FleetBench {
     let grid = FleetGrid {
         kinds: vec![PrefetcherKind::None, PrefetcherKind::sms_pv8()],
         workloads: vec![
-            FleetWorkload::Homogeneous(WorkloadId::Qry1),
-            FleetWorkload::Homogeneous(WorkloadId::Apache),
+            Workload::Homogeneous(WorkloadId::Qry1),
+            Workload::Homogeneous(WorkloadId::Apache),
         ],
         cycles_per_transfer: vec![0, 64],
         throttle: false,
     };
     let mut sink = Vec::new();
-    let summary = run_fleet(grid.points(), Scale::Smoke, threads, &mut sink);
+    let summary = run_fleet(grid.points(), Scale::Smoke, threads, &mut sink)
+        .expect("an in-memory sink accepts every write");
     FleetBench {
         points: summary.points,
         threads: summary.threads,
@@ -719,7 +708,7 @@ fn main() {
     let mut runs = Vec::new();
     for kind in all_kinds() {
         for workload in [WorkloadId::Apache, WorkloadId::Qry1] {
-            let config = smoke_config(kind.clone());
+            let config = RunSpec::base(workload, kind.clone()).config(Scale::Smoke);
             let records = (config.warmup_records + config.measure_records) * config.cores as u64;
             // Best of five repetitions: wall-clock noise (CI runners share
             // cores) must not read as a regression in the tracked trend.
@@ -759,7 +748,7 @@ fn main() {
     {
         let kind = PrefetcherKind::sms_pv8();
         let workload = WorkloadId::Qry1;
-        let config = smoke_config(kind.clone());
+        let config = RunSpec::base(workload, kind.clone()).config(Scale::Smoke);
         let per_core = config.warmup_records + config.measure_records;
         let traces: Vec<Vec<u8>> = (0..config.cores)
             .map(|core| {
@@ -808,7 +797,7 @@ fn main() {
     {
         let kind = PrefetcherKind::sms_pv8();
         let workload = WorkloadId::Qry1;
-        let mut config = smoke_config(kind.clone());
+        let mut config = RunSpec::base(workload, kind.clone()).config(Scale::Smoke);
         config.hierarchy = config.hierarchy.with_contention(ContentionModel::Queued);
         let records = (config.warmup_records + config.measure_records) * config.cores as u64;
         let mut seconds = f64::INFINITY;

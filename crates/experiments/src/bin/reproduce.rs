@@ -21,7 +21,7 @@ fn print_usage() {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::from_env();
+    let mut scale = Scale::Quick;
     let mut threads: Option<usize> = None;
     let mut selected: Vec<Experiment> = Vec::new();
     let mut run_all = false;
@@ -52,9 +52,9 @@ fn main() {
             "--threads" => {
                 let value = iter.next().map(String::as_str).unwrap_or("");
                 match value.parse() {
-                    Ok(parsed) => threads = Some(parsed),
-                    Err(_) => {
-                        eprintln!("invalid thread count '{value}'");
+                    Ok(parsed) if parsed > 0 => threads = Some(parsed),
+                    _ => {
+                        eprintln!("invalid thread count '{value}' (expected a positive integer)");
                         std::process::exit(2);
                     }
                 }

@@ -95,13 +95,13 @@ pub fn rows_for(runner: &Runner, workloads: &[WorkloadId]) -> Vec<CohabitRow> {
     for &workload in workloads {
         for variant in variants() {
             specs.push(RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::None,
                 hierarchy: variant,
             });
             for kind in kinds() {
                 specs.push(RunSpec {
-                    workload,
+                    workload: workload.into(),
                     prefetcher: kind,
                     hierarchy: variant,
                 });
@@ -114,13 +114,13 @@ pub fn rows_for(runner: &Runner, workloads: &[WorkloadId]) -> Vec<CohabitRow> {
     for &workload in workloads {
         for variant in variants() {
             let baseline = runner.metrics(&RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::None,
                 hierarchy: variant,
             });
             for kind in kinds() {
                 let metrics = runner.metrics(&RunSpec {
-                    workload,
+                    workload: workload.into(),
                     prefetcher: kind,
                     hierarchy: variant,
                 });

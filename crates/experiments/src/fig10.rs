@@ -39,12 +39,12 @@ pub fn rows(runner: &Runner) -> Vec<Fig10Row> {
         for &size in &l2_sizes() {
             let variant = HierarchyVariant::L2Size(size);
             specs.push(RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::sms_1k_11a(),
                 hierarchy: variant,
             });
             specs.push(RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::sms_pv8(),
                 hierarchy: variant,
             });
@@ -56,12 +56,12 @@ pub fn rows(runner: &Runner) -> Vec<Fig10Row> {
         for &size in &l2_sizes() {
             let variant = HierarchyVariant::L2Size(size);
             let dedicated = runner.metrics(&RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::sms_1k_11a(),
                 hierarchy: variant,
             });
             let pv = runner.metrics(&RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::sms_pv8(),
                 hierarchy: variant,
             });

@@ -30,7 +30,7 @@ pub fn rows(runner: &Runner) -> Vec<Fig11Row> {
         .iter()
         .flat_map(|&workload| {
             configs.iter().map(move |config| RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: config.clone(),
                 hierarchy: variant,
             })
@@ -42,7 +42,7 @@ pub fn rows(runner: &Runner) -> Vec<Fig11Row> {
         .map(|&workload| {
             let get = |prefetcher: PrefetcherKind| {
                 runner.metrics(&RunSpec {
-                    workload,
+                    workload: workload.into(),
                     prefetcher,
                     hierarchy: variant,
                 })

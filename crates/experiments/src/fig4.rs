@@ -58,7 +58,7 @@ pub fn rows_for(runner: &Runner, workloads: &[WorkloadId]) -> Vec<Fig4Row> {
         .map(|spec| {
             let metrics = runner.metrics(spec);
             Fig4Row {
-                workload: spec.workload.name().to_owned(),
+                workload: spec.workload.label().to_owned(),
                 config: spec.prefetcher.label().replace("SMS-", ""),
                 covered: metrics.coverage.coverage(),
                 uncovered: 1.0 - metrics.coverage.coverage(),

@@ -42,7 +42,7 @@ pub fn rows(runner: &Runner) -> Vec<Fig5Row> {
         .map(|spec| {
             let metrics = runner.metrics(spec);
             Fig5Row {
-                workload: spec.workload.name().to_owned(),
+                workload: spec.workload.label().to_owned(),
                 config: spec.prefetcher.label().replace("SMS-", ""),
                 covered: metrics.coverage.coverage(),
                 overpredictions: metrics.coverage.overprediction_ratio(),

@@ -1,5 +1,5 @@
-//! Fleet sweeps: a work-stealing driver that expands configuration grids
-//! into independent simulations and drains them over worker threads.
+//! Fleet sweeps: expand configuration grids into independent simulations
+//! and drain them over worker threads.
 //!
 //! The reproduction harness ([`Runner`](crate::Runner)) answers "what are
 //! the paper's numbers?" — a fixed set of specs per figure. Fleet sweeps
@@ -7,16 +7,12 @@
 //! the cartesian product of prefetcher kinds × workloads (homogeneous,
 //! mixed, or non-stationary scenarios) × DRAM bandwidth points × throttling,
 //! expanded up front and executed by however many host threads are
-//! available. The `System` ownership refactor makes this trivial — a whole
-//! simulation is `Send`, so points migrate freely between workers.
+//! available. A whole simulation is `Send`, so points run on any worker.
 //!
-//! Scheduling is work-stealing rather than a single shared queue feeding
-//! fixed slices: points differ wildly in cost (a Markov run is several
-//! times slower than the no-prefetch baseline; `Queued` contention costs
-//! more than `Ideal`), so pre-partitioning would leave workers idle behind
-//! the unlucky one. Each worker owns a deque seeded round-robin, pops from
-//! the front, and steals from the *back* of a neighbour when its own runs
-//! dry.
+//! Points differ widely in cost (a Markov run is several times slower than
+//! the no-prefetch baseline; `Queued` contention costs more than `Ideal`),
+//! so points are not pre-partitioned: `par_map` hands each idle worker
+//! the next unclaimed point.
 //!
 //! Output is JSON Lines: one `{"type": "run", ...}` object per completed
 //! point — streamed in completion order, carrying the configuration key,
@@ -25,47 +21,12 @@
 //! thread counts and hosts — and one final `{"type": "summary", ...}`
 //! object where all the wall-clock throughput lives.
 
-use crate::runner::Scale;
+use crate::runner::{par_map, HierarchyVariant, RunSpec, Scale, Workload};
 use parking_lot::Mutex;
-use pv_mem::{ContentionModel, HierarchyConfig};
-use pv_sim::{
-    run_streams, run_workload, run_workload_mix, PrefetcherKind, RunMetrics, SimConfig,
-    ThrottleConfig,
-};
-use pv_trace::Scenario;
+use pv_sim::{PrefetcherKind, RunMetrics, ThrottleConfig};
 use pv_workloads::WorkloadId;
-use std::collections::VecDeque;
-use std::io::Write;
-use std::sync::mpsc;
+use std::io::{self, Write};
 use std::time::Instant;
-
-/// What the four cores run at one grid point.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FleetWorkload {
-    /// Every core runs the same workload (the paper's methodology).
-    Homogeneous(WorkloadId),
-    /// Core `i` runs `workloads[i]` (heterogeneous multi-programming).
-    Mix([WorkloadId; 4]),
-    /// Every core runs its slice of a non-stationary scenario.
-    Scenario(Scenario),
-}
-
-impl FleetWorkload {
-    /// Machine-readable label, unique per workload selection (workload
-    /// names, `+`-joined mixes, `Scenario::name` strings).
-    pub fn label(&self) -> String {
-        match self {
-            FleetWorkload::Homogeneous(w) => w.name().to_owned(),
-            FleetWorkload::Mix(ws) => {
-                format!(
-                    "mix:{}",
-                    ws.iter().map(|w| w.name()).collect::<Vec<_>>().join("+")
-                )
-            }
-            FleetWorkload::Scenario(s) => s.name(),
-        }
-    }
-}
 
 /// One point of a fleet sweep: a complete, independent simulation.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,7 +34,7 @@ pub struct FleetPoint {
     /// The prefetcher every core uses (throttled kinds carry the policy).
     pub kind: PrefetcherKind,
     /// What the cores run.
-    pub workload: FleetWorkload,
+    pub workload: Workload,
     /// DRAM data-bus cycles per 64-byte block. `0` selects the paper's
     /// `Ideal` fixed-latency model; any other value runs `Queued`
     /// contention at that bandwidth.
@@ -92,36 +53,18 @@ impl FleetPoint {
         )
     }
 
-    fn config(&self, scale: Scale) -> SimConfig {
-        let config = scale.config(self.kind.clone());
-        let mut hierarchy = HierarchyConfig::paper_baseline(config.cores);
-        if self.cycles_per_transfer > 0 {
-            hierarchy = hierarchy
-                .with_contention(ContentionModel::Queued)
-                .with_dram_cycles_per_transfer(self.cycles_per_transfer);
-        }
-        // Cohabiting kinds hold two tables per core; grow the PV region to
-        // fit (same rule the perfbench harness applies).
-        let needed = self.kind.pv_bytes_per_core();
-        if needed > hierarchy.pv_regions.bytes_per_core {
-            hierarchy = hierarchy.with_pv_bytes_per_core(needed);
-        }
-        config.with_hierarchy(hierarchy)
-    }
-
-    /// Runs this point at `scale` and returns its metrics.
-    pub fn run(&self, scale: Scale) -> RunMetrics {
-        let config = self.config(scale);
-        match &self.workload {
-            FleetWorkload::Homogeneous(workload) => run_workload(&config, &workload.params()),
-            FleetWorkload::Mix(workloads) => {
-                let params: Vec<_> = workloads.iter().map(|w| w.params()).collect();
-                run_workload_mix(&config, &params)
-            }
-            FleetWorkload::Scenario(scenario) => {
-                let streams = scenario.build_streams(config.cores, config.seed);
-                run_streams(&config, streams)
-            }
+    /// The run this point simulates.
+    pub fn spec(&self) -> RunSpec {
+        let hierarchy = match self.cycles_per_transfer {
+            0 => HierarchyVariant::Base,
+            cycles_per_transfer => HierarchyVariant::QueuedDram {
+                cycles_per_transfer,
+            },
+        };
+        RunSpec {
+            workload: self.workload,
+            prefetcher: self.kind.clone(),
+            hierarchy,
         }
     }
 }
@@ -133,7 +76,7 @@ pub struct FleetGrid {
     /// Prefetcher kinds to sweep.
     pub kinds: Vec<PrefetcherKind>,
     /// Workload selections to sweep.
-    pub workloads: Vec<FleetWorkload>,
+    pub workloads: Vec<Workload>,
     /// DRAM bandwidth points (`0` = `Ideal`, else `Queued` at that
     /// cycles-per-transfer).
     pub cycles_per_transfer: Vec<u64>,
@@ -156,10 +99,10 @@ impl FleetGrid {
                 PrefetcherKind::composite_shared(8),
             ],
             workloads: vec![
-                FleetWorkload::Homogeneous(WorkloadId::Apache),
-                FleetWorkload::Homogeneous(WorkloadId::Db2),
-                FleetWorkload::Homogeneous(WorkloadId::Qry1),
-                FleetWorkload::Homogeneous(WorkloadId::Qry17),
+                Workload::Homogeneous(WorkloadId::Apache),
+                Workload::Homogeneous(WorkloadId::Db2),
+                Workload::Homogeneous(WorkloadId::Qry1),
+                Workload::Homogeneous(WorkloadId::Qry17),
             ],
             cycles_per_transfer: vec![0, 32, 64, 128],
             throttle: false,
@@ -183,7 +126,7 @@ impl FleetGrid {
                 for &cycles_per_transfer in &self.cycles_per_transfer {
                     points.push(FleetPoint {
                         kind: kind.clone(),
-                        workload: workload.clone(),
+                        workload: *workload,
                         cycles_per_transfer,
                     });
                 }
@@ -229,65 +172,43 @@ fn run_row(point: &FleetPoint, metrics: &RunMetrics) -> String {
     )
 }
 
-/// Runs every point at `scale` over `threads` work-stealing workers,
-/// streaming one JSONL row per completed run into `sink` (completion
-/// order) followed by a `{"type": "summary", ...}` footer with the
-/// wall-clock throughput.
+/// Runs every point at `scale` over `threads` workers, streaming one JSONL
+/// row per completed run into `sink` (completion order) followed by a
+/// `{"type": "summary", ...}` footer with the wall-clock throughput, then
+/// flushes `sink`.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics if `sink` rejects a write (fleet output is the binary's whole
-/// product; there is nothing sensible to do with a dead sink).
+/// Returns the first write or flush error of `sink`. Points not started by
+/// then are skipped.
 pub fn run_fleet(
     points: Vec<FleetPoint>,
     scale: Scale,
     threads: usize,
-    sink: &mut dyn Write,
-) -> FleetSummary {
+    sink: &mut (impl Write + Send),
+) -> io::Result<FleetSummary> {
     let threads = threads.max(1).min(points.len().max(1));
     let start = Instant::now();
 
-    // Round-robin the points over per-worker deques: neighbouring indices
-    // (same kind, adjacent bandwidth) land on different workers, so the
-    // expensive kinds spread out even before any stealing happens.
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..threads).map(|_| Mutex::new(VecDeque::new())).collect();
-    for (index, _) in points.iter().enumerate() {
-        deques[index % threads].lock().push_back(index);
-    }
-
-    let (tx, rx) = mpsc::channel::<String>();
-    let executed = std::thread::scope(|scope| {
-        for me in 0..threads {
-            let tx = tx.clone();
-            let deques = &deques;
-            let points = &points;
-            scope.spawn(move || loop {
-                // Own work from the front; steal from the *back* of the
-                // next non-empty neighbour so thieves and owners contend
-                // for opposite ends of a deque.
-                let index = deques[me].lock().pop_front().or_else(|| {
-                    (1..threads)
-                        .find_map(|offset| deques[(me + offset) % threads].lock().pop_back())
-                });
-                let Some(index) = index else { break };
-                let point = &points[index];
-                let metrics = point.run(scale);
-                if tx.send(run_row(point, &metrics)).is_err() {
-                    break;
-                }
-            });
+    // Workers write their own rows as they complete, so rows stream out
+    // during the sweep, not after it.
+    let output = Mutex::new((sink, 0usize, Ok(())));
+    par_map(&points, threads, |point| {
+        if output.lock().2.is_err() {
+            return;
         }
-        drop(tx);
-        // The scope's own thread is the writer: rows stream out as workers
-        // complete them, not after the whole sweep.
-        let mut executed = 0usize;
-        for row in rx {
-            writeln!(sink, "{row}").expect("fleet sink write failed");
-            executed += 1;
+        let spec = point.spec();
+        let row = run_row(point, &spec.run(&spec.config(scale)));
+        let (sink, executed, status) = &mut *output.lock();
+        if status.is_ok() {
+            match writeln!(sink, "{row}") {
+                Ok(()) => *executed += 1,
+                Err(error) => *status = Err(error),
+            }
         }
-        executed
     });
+    let (sink, executed, status) = output.into_inner();
+    status?;
 
     let seconds = start.elapsed().as_secs_f64();
     let summary = FleetSummary {
@@ -305,9 +226,9 @@ pub fn run_fleet(
         "{{\"type\": \"summary\", \"points\": {}, \"threads\": {}, \"seconds\": {:.3}, \
          \"runs_per_sec\": {:.2}}}",
         summary.points, summary.threads, summary.seconds, summary.runs_per_sec
-    )
-    .expect("fleet sink write failed");
-    summary
+    )?;
+    sink.flush()?;
+    Ok(summary)
 }
 
 /// Parses a prefetcher-kind name as the fleet CLI accepts it.
@@ -372,15 +293,16 @@ pub fn parse_workload(name: &str) -> Option<WorkloadId> {
 /// The default scenario points the `--scenarios` flag adds: the throttle
 /// re-convergence flip plus the characterisation set, scaled to the sweep's
 /// scale so each phase spans several accuracy epochs.
-pub fn default_scenarios(scale: Scale) -> Vec<FleetWorkload> {
+pub fn default_scenarios(scale: Scale) -> Vec<Workload> {
     let mut scenarios = vec![crate::scenarios::throttle_flip(scale)];
     scenarios.extend(crate::scenarios::characterisation_scenarios(scale));
-    scenarios.into_iter().map(FleetWorkload::Scenario).collect()
+    scenarios.into_iter().map(Workload::Scenario).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pv_mem::ContentionModel;
 
     #[test]
     fn default_grid_expands_to_64_points() {
@@ -429,28 +351,28 @@ mod tests {
         let points = vec![
             FleetPoint {
                 kind: parse_kind("composite-shared8-dyn").unwrap(),
-                workload: FleetWorkload::Homogeneous(WorkloadId::Qry1),
+                workload: Workload::Homogeneous(WorkloadId::Qry1),
                 cycles_per_transfer: 0,
             },
             FleetPoint {
                 kind: parse_kind("composite-shared8-scarce").unwrap(),
-                workload: FleetWorkload::Homogeneous(WorkloadId::Qry1),
+                workload: Workload::Homogeneous(WorkloadId::Qry1),
                 cycles_per_transfer: 0,
             },
             FleetPoint {
                 kind: parse_kind("composite-shared8-dyn").unwrap(),
-                workload: FleetWorkload::Homogeneous(WorkloadId::Apache),
+                workload: Workload::Homogeneous(WorkloadId::Apache),
                 cycles_per_transfer: 64,
             },
             FleetPoint {
                 kind: PrefetcherKind::None,
-                workload: FleetWorkload::Homogeneous(WorkloadId::Apache),
+                workload: Workload::Homogeneous(WorkloadId::Apache),
                 cycles_per_transfer: 64,
             },
         ];
         let sorted_rows = |threads: usize| {
             let mut out = Vec::new();
-            run_fleet(points.clone(), Scale::Smoke, threads, &mut out);
+            run_fleet(points.clone(), Scale::Smoke, threads, &mut out).unwrap();
             let text = String::from_utf8(out).unwrap();
             let mut rows: Vec<String> = text
                 .lines()
@@ -474,7 +396,7 @@ mod tests {
     fn cpt_zero_is_ideal_and_nonzero_is_queued() {
         let ideal = FleetPoint {
             kind: PrefetcherKind::None,
-            workload: FleetWorkload::Homogeneous(WorkloadId::Qry1),
+            workload: Workload::Homogeneous(WorkloadId::Qry1),
             cycles_per_transfer: 0,
         };
         let queued = FleetPoint {
@@ -482,10 +404,10 @@ mod tests {
             ..ideal.clone()
         };
         assert_eq!(
-            ideal.config(Scale::Smoke).hierarchy.contention,
+            ideal.spec().config(Scale::Smoke).hierarchy.contention,
             ContentionModel::Ideal
         );
-        let queued_config = queued.config(Scale::Smoke);
+        let queued_config = queued.spec().config(Scale::Smoke);
         assert_eq!(queued_config.hierarchy.contention, ContentionModel::Queued);
         assert_eq!(queued_config.hierarchy.dram.cycles_per_transfer, 64);
         assert_eq!(queued.key(), "NoPrefetch|Qry1|cpt64");
@@ -496,17 +418,17 @@ mod tests {
         let points = vec![
             FleetPoint {
                 kind: PrefetcherKind::None,
-                workload: FleetWorkload::Homogeneous(WorkloadId::Qry1),
+                workload: Workload::Homogeneous(WorkloadId::Qry1),
                 cycles_per_transfer: 0,
             },
             FleetPoint {
                 kind: PrefetcherKind::sms_8_11a(),
-                workload: FleetWorkload::Homogeneous(WorkloadId::Qry1),
+                workload: Workload::Homogeneous(WorkloadId::Qry1),
                 cycles_per_transfer: 0,
             },
         ];
         let mut out = Vec::new();
-        let summary = run_fleet(points, Scale::Smoke, 2, &mut out);
+        let summary = run_fleet(points, Scale::Smoke, 2, &mut out).unwrap();
         assert_eq!(summary.points, 2);
         let text = String::from_utf8(out).unwrap();
         let runs: Vec<&str> =
@@ -521,7 +443,7 @@ mod tests {
 
     #[test]
     fn mixes_and_scenarios_have_distinct_labels() {
-        let mix = FleetWorkload::Mix([
+        let mix = Workload::Mix([
             WorkloadId::Apache,
             WorkloadId::Db2,
             WorkloadId::Qry1,
@@ -531,5 +453,77 @@ mod tests {
         for scenario in default_scenarios(Scale::Smoke) {
             assert!(!scenario.label().is_empty());
         }
+    }
+
+    /// A sink that accepts `capacity` bytes and then fails every write, and
+    /// optionally fails every flush.
+    struct FailingSink {
+        capacity: usize,
+        flush_fails: bool,
+    }
+
+    impl Write for FailingSink {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.capacity == 0 {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "sink closed"));
+            }
+            let n = buf.len().min(self.capacity);
+            self.capacity -= n;
+            Ok(n)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            if self.flush_fails {
+                return Err(io::Error::new(io::ErrorKind::BrokenPipe, "flush failed"));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_failing_sink_is_an_error_not_a_panic() {
+        let points = vec![
+            FleetPoint {
+                kind: PrefetcherKind::None,
+                workload: Workload::Homogeneous(WorkloadId::Qry1),
+                cycles_per_transfer: 0,
+            };
+            3
+        ];
+        // A write fails before the first row, a write fails mid-row, or
+        // every write lands and only the final flush fails.
+        for (capacity, flush_fails) in [(0, false), (100, false), (usize::MAX, true)] {
+            let mut sink = FailingSink {
+                capacity,
+                flush_fails,
+            };
+            let error = run_fleet(points.clone(), Scale::Smoke, 2, &mut sink)
+                .expect_err("a dead sink must surface as an error");
+            assert_eq!(error.kind(), io::ErrorKind::BrokenPipe);
+        }
+    }
+
+    /// The runner and the fleet share one run path: a fleet point and the
+    /// runner spec it maps onto simulate the same configuration.
+    #[test]
+    fn runner_and_fleet_agree_on_a_cohabiting_point() {
+        let point = FleetPoint {
+            kind: PrefetcherKind::composite_shared(8),
+            workload: Workload::Homogeneous(WorkloadId::Qry1),
+            cycles_per_transfer: 0,
+        };
+        let runner = crate::Runner::new(Scale::Smoke, 1);
+        let metrics = runner.metrics(&RunSpec::base(WorkloadId::Qry1, point.kind.clone()));
+        assert_eq!(
+            point.spec(),
+            RunSpec::base(WorkloadId::Qry1, point.kind.clone())
+        );
+        let mut out = Vec::new();
+        run_fleet(vec![point], Scale::Smoke, 1, &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        assert!(
+            text.contains(&format!("\"digest\": \"{}\"", metrics.digest())),
+            "fleet row must carry the runner's digest: {text}"
+        );
     }
 }

@@ -42,9 +42,9 @@ pub mod table2;
 pub mod table3;
 pub mod throttle;
 
-pub use fleet::{run_fleet, FleetGrid, FleetPoint, FleetSummary, FleetWorkload};
+pub use fleet::{run_fleet, FleetGrid, FleetPoint, FleetSummary};
 pub use report::Table;
-pub use runner::{HierarchyVariant, MixSpec, RunSpec, Runner, Scale, ScenarioSpec};
+pub use runner::{HierarchyVariant, RunSpec, Runner, Scale, Workload};
 
 /// Identifier of one reproducible experiment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -12,7 +12,7 @@
 //! their L2 with everyone else's prefetches.
 
 use crate::report::{pct, Table};
-use crate::runner::{MixSpec, Runner};
+use crate::runner::{RunSpec, Runner};
 use pv_sim::PrefetcherKind;
 use pv_workloads::WorkloadId;
 
@@ -52,15 +52,15 @@ fn configurations() -> [PrefetcherKind; 3] {
 
 /// Runs the canonical mix under every configuration.
 pub fn rows(runner: &Runner) -> Vec<MixRow> {
-    let specs: Vec<MixSpec> = configurations()
+    let specs: Vec<RunSpec> = configurations()
         .into_iter()
-        .map(|prefetcher| MixSpec::base(canonical_mix(), prefetcher))
+        .map(|prefetcher| RunSpec::base(canonical_mix(), prefetcher))
         .collect();
-    runner.prefetch_mixed(&specs);
+    runner.prefetch(&specs);
     specs
         .iter()
         .map(|spec| {
-            let metrics = runner.metrics_mixed(spec);
+            let metrics = runner.metrics(spec);
             MixRow {
                 config: metrics.configuration.clone(),
                 per_core_ipc: metrics.per_core_ipc.clone(),

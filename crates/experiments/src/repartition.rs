@@ -27,10 +27,10 @@
 //! stops moving well before the run ends.
 
 use crate::report::{pct, Table};
-use crate::runner::{HierarchyVariant, Runner, Scale, ScenarioSpec};
+use crate::runner::{par_map, HierarchyVariant, RunSpec, Runner, Scale};
 use crate::scenarios::flip_period;
-use pv_mem::{ContentionModel, HierarchyConfig};
-use pv_sim::{run_streams, PrefetcherKind, RunMetrics, SimConfig};
+use pv_mem::ContentionModel;
+use pv_sim::{PrefetcherKind, RunMetrics};
 use pv_trace::Scenario;
 use pv_workloads::WorkloadId;
 
@@ -38,9 +38,7 @@ use pv_workloads::WorkloadId;
 /// tables would need — scarcity is the point of repartitioning.
 pub const PV_BYTES_PER_CORE: u64 = 64 * 1024;
 
-/// The scarce hierarchy both arms run under (for [`Runner`]-cached specs;
-/// the report's own cold runs build the equivalent [`HierarchyConfig`]
-/// directly).
+/// The scarce hierarchy both arms run under.
 pub fn scarce_hierarchy() -> HierarchyVariant {
     HierarchyVariant::PvRegion {
         bytes_per_core: PV_BYTES_PER_CORE,
@@ -79,15 +77,14 @@ pub fn scenarios(scale: Scale) -> Vec<Scenario> {
     ]
 }
 
-/// The full spec grid — every scenario under both arms — as
-/// [`Runner`]-cacheable specs (warmed-up runs; the fleet axis and the
-/// determinism tests go through these).
-pub fn specs(scale: Scale) -> Vec<ScenarioSpec> {
+/// The full spec grid — every scenario under both arms, in report order
+/// (the report runs each one cold through [`run_arm`]).
+pub fn specs(scale: Scale) -> Vec<RunSpec> {
     let mut specs = Vec::new();
     for scenario in scenarios(scale) {
         for prefetcher in [static_arm(), dynamic_arm()] {
-            specs.push(ScenarioSpec {
-                scenario,
+            specs.push(RunSpec {
+                workload: scenario.into(),
                 prefetcher,
                 hierarchy: scarce_hierarchy(),
             });
@@ -96,23 +93,13 @@ pub fn specs(scale: Scale) -> Vec<ScenarioSpec> {
     specs
 }
 
-/// The cold configuration one arm runs: the scale's record budget with the
-/// warm-up folded into measurement, on the scarce region.
-fn cold_config(scale: Scale, kind: PrefetcherKind) -> SimConfig {
-    let mut config = scale.config(kind);
+/// Runs one arm cold and returns its metrics: the scale's record budget
+/// with the warm-up folded into measurement.
+pub fn run_arm(scale: Scale, spec: &RunSpec) -> RunMetrics {
+    let mut config = spec.config(scale);
     config.measure_records += config.warmup_records;
     config.warmup_records = 0;
-    let cores = config.cores;
-    config.with_hierarchy(
-        HierarchyConfig::paper_baseline(cores).with_pv_bytes_per_core(PV_BYTES_PER_CORE),
-    )
-}
-
-/// Runs one arm cold on `scenario` and returns its metrics.
-pub fn run_arm(scale: Scale, scenario: Scenario, kind: PrefetcherKind) -> RunMetrics {
-    let config = cold_config(scale, kind);
-    let streams = scenario.build_streams(config.cores, config.seed);
-    run_streams(&config, streams)
+    spec.run(&config)
 }
 
 /// One comparison row.
@@ -144,27 +131,16 @@ pub struct RepartitionRow {
 /// Runs the grid cold and gathers one row per (scenario, arm).
 pub fn rows(runner: &Runner) -> Vec<RepartitionRow> {
     let scale = runner.scale();
-    let runs: Vec<(Scenario, PrefetcherKind)> = scenarios(scale)
-        .into_iter()
-        .flat_map(|scenario| [(scenario, static_arm()), (scenario, dynamic_arm())])
-        .collect();
-    let metrics: Vec<RunMetrics> = std::thread::scope(|scope| {
-        let handles: Vec<_> = runs
-            .iter()
-            .map(|(scenario, kind)| scope.spawn(move || run_arm(scale, *scenario, kind.clone())))
-            .collect();
-        handles
-            .into_iter()
-            .map(|handle| handle.join().expect("simulation thread panicked"))
-            .collect()
-    });
-    runs.iter()
+    let specs = specs(scale);
+    let metrics = par_map(&specs, runner.threads(), |spec| run_arm(scale, spec));
+    specs
+        .iter()
         .zip(&metrics)
-        .map(|((scenario, _), metrics)| {
+        .map(|(spec, metrics)| {
             let cores = metrics.per_core_ipc.len().max(1) as u64;
             let repartition = metrics.repartition.as_ref().expect("both arms carry a controller");
             RepartitionRow {
-                scenario: scenario.name(),
+                scenario: spec.workload.label(),
                 config: metrics.configuration.clone(),
                 ipc: metrics.aggregate_ipc(),
                 coverage: metrics.coverage.coverage(),
@@ -240,7 +216,6 @@ pub fn report(runner: &Runner) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::runner::RunSpec;
 
     fn hit_rate(metrics: &RunMetrics, label: &str) -> f64 {
         metrics
@@ -258,12 +233,11 @@ mod tests {
     /// of thrashing.
     #[test]
     fn the_controller_shifts_capacity_toward_the_hot_table_across_the_flip() {
-        let flip = scenarios(Scale::Smoke)[0];
-        let (frozen, dynamic) = std::thread::scope(|scope| {
-            let frozen = scope.spawn(|| run_arm(Scale::Smoke, flip, static_arm()));
-            let dynamic = scope.spawn(|| run_arm(Scale::Smoke, flip, dynamic_arm()));
-            (frozen.join().unwrap(), dynamic.join().unwrap())
+        // The flip under the static arm, then under the dynamic one.
+        let runs = par_map(&specs(Scale::Smoke)[..2], 2, |spec| {
+            run_arm(Scale::Smoke, spec)
         });
+        let (frozen, dynamic) = (&runs[0], &runs[1]);
 
         let repartition = dynamic.repartition.as_ref().expect("controller metrics");
         assert!(
@@ -287,10 +261,10 @@ mod tests {
         // …and beat the frozen split's PVC$ hit rate on that table.
         let label = &dynamic.pv_tables[hot].label;
         assert!(
-            hit_rate(&dynamic, label) > hit_rate(&frozen, label),
+            hit_rate(dynamic, label) > hit_rate(frozen, label),
             "dynamic must beat static on the newly-hot table {label}: {:.4} vs {:.4}",
-            hit_rate(&dynamic, label),
-            hit_rate(&frozen, label)
+            hit_rate(dynamic, label),
+            hit_rate(frozen, label)
         );
         // Bounded re-convergence: every move happens in the first half of
         // the run — the split matches the demand long before the end.
@@ -312,7 +286,7 @@ mod tests {
     fn a_stable_workload_triggers_no_replans_after_warm_up() {
         let runner = Runner::new(Scale::Smoke, 2);
         let spec = RunSpec {
-            workload: WorkloadId::Apache,
+            workload: WorkloadId::Apache.into(),
             prefetcher: dynamic_arm(),
             hierarchy: scarce_hierarchy(),
         };
@@ -332,17 +306,17 @@ mod tests {
     /// runner fans out over one thread or eight.
     #[test]
     fn dynamic_runs_are_deterministic_across_runner_thread_counts() {
-        let spec = ScenarioSpec {
-            scenario: scenarios(Scale::Smoke)[0],
+        let spec = RunSpec {
+            workload: scenarios(Scale::Smoke)[0].into(),
             prefetcher: dynamic_arm(),
             hierarchy: scarce_hierarchy(),
         };
         let one = Runner::new(Scale::Smoke, 1);
         let eight = Runner::new(Scale::Smoke, 8);
-        one.prefetch_scenarios(std::slice::from_ref(&spec));
-        eight.prefetch_scenarios(std::slice::from_ref(&spec));
-        let a = one.metrics_scenario(&spec);
-        let b = eight.metrics_scenario(&spec);
+        one.prefetch(std::slice::from_ref(&spec));
+        eight.prefetch(std::slice::from_ref(&spec));
+        let a = one.metrics(&spec);
+        let b = eight.metrics(&spec);
         assert_eq!(a.digest(), b.digest());
         assert_eq!(a.repartition, b.repartition);
     }

@@ -5,7 +5,7 @@ use pv_mem::{ContentionModel, HierarchyConfig};
 use pv_sim::{run_streams, run_workload, run_workload_mix, PrefetcherKind, RunMetrics, SimConfig};
 use pv_trace::Scenario;
 use pv_workloads::WorkloadId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -22,16 +22,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads the scale from the `PV_REPRO_SCALE` environment variable
-    /// (`quick`, `paper` or `smoke`), defaulting to `Quick`.
-    pub fn from_env() -> Self {
-        match std::env::var("PV_REPRO_SCALE").as_deref() {
-            Ok("paper") => Scale::Paper,
-            Ok("smoke") => Scale::Smoke,
-            _ => Scale::Quick,
-        }
-    }
-
     /// Parses a command-line value.
     pub fn from_name(name: &str) -> Option<Self> {
         match name {
@@ -152,37 +142,60 @@ impl HierarchyVariant {
     }
 }
 
-/// Which workload(s) the cores run: the same workload on every core (the
-/// paper's methodology) or a heterogeneous four-way mix (core `i` runs the
-/// `i`-th entry).
+/// What the four cores run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-enum WorkloadSel {
+pub enum Workload {
+    /// Every core runs the same workload (the paper's methodology).
     Homogeneous(WorkloadId),
-    PerCore([WorkloadId; 4]),
+    /// Core `i` runs the `i`-th workload (heterogeneous multi-programming).
+    Mix([WorkloadId; 4]),
     /// Every core runs its slice of a non-stationary scenario composition
-    /// (see `pv_trace::Scenario`); scenarios are small `Copy` values over
-    /// workload identifiers and integer knobs, so they hash structurally
-    /// like everything else in the key.
+    /// (see `pv_trace::Scenario`).
     Scenario(Scenario),
 }
 
-/// Cache key of one simulation: the full configuration, hashed structurally.
-///
-/// Deriving `Hash`/`Eq` over the actual configuration replaces the old
-/// `format!`-built string keys — no allocation per lookup, and no risk of two
-/// distinct configurations aliasing because their labels collide.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-struct RunKey {
-    workload: WorkloadSel,
-    prefetcher: PrefetcherKind,
-    hierarchy: HierarchyVariant,
+impl Workload {
+    /// Machine-readable label, unique per workload selection (workload
+    /// names, `mix:`-prefixed `+`-joined mixes, `Scenario::name` strings).
+    pub fn label(&self) -> String {
+        match self {
+            Workload::Homogeneous(w) => w.name().to_owned(),
+            Workload::Mix(ws) => {
+                format!(
+                    "mix:{}",
+                    ws.iter().map(|w| w.name()).collect::<Vec<_>>().join("+")
+                )
+            }
+            Workload::Scenario(s) => s.name(),
+        }
+    }
 }
 
-/// One simulation to run.
-#[derive(Debug, Clone, PartialEq)]
+impl From<WorkloadId> for Workload {
+    fn from(workload: WorkloadId) -> Self {
+        Workload::Homogeneous(workload)
+    }
+}
+
+impl From<[WorkloadId; 4]> for Workload {
+    fn from(workloads: [WorkloadId; 4]) -> Self {
+        Workload::Mix(workloads)
+    }
+}
+
+impl From<Scenario> for Workload {
+    fn from(scenario: Scenario) -> Self {
+        Workload::Scenario(scenario)
+    }
+}
+
+/// One simulation to run, and its cache key: deriving `Hash`/`Eq` over the
+/// full configuration means no allocation per lookup and no risk of two
+/// distinct configurations aliasing because their labels collide.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RunSpec {
-    /// Which workload all four cores run.
-    pub workload: WorkloadId,
+    /// What the cores run.
+    pub workload: Workload,
     /// Which prefetcher each core uses.
     pub prefetcher: PrefetcherKind,
     /// Which memory hierarchy variant is simulated.
@@ -191,89 +204,81 @@ pub struct RunSpec {
 
 impl RunSpec {
     /// A run on the baseline hierarchy.
-    pub fn base(workload: WorkloadId, prefetcher: PrefetcherKind) -> Self {
+    pub fn base(workload: impl Into<Workload>, prefetcher: PrefetcherKind) -> Self {
         RunSpec {
-            workload,
+            workload: workload.into(),
             prefetcher,
             hierarchy: HierarchyVariant::Base,
         }
     }
 
-    fn key(&self) -> RunKey {
-        RunKey {
-            workload: WorkloadSel::Homogeneous(self.workload),
-            prefetcher: self.prefetcher.clone(),
-            hierarchy: self.hierarchy,
+    /// The configuration this spec simulates at `scale`. Cohabiting kinds
+    /// hold two tables per core, so the PV region grows to fit the kind
+    /// when the hierarchy reserves less.
+    pub fn config(&self, scale: Scale) -> SimConfig {
+        let config = scale.config(self.prefetcher.clone());
+        let mut hierarchy = self.hierarchy.build(config.cores);
+        let needed = self.prefetcher.pv_bytes_per_core();
+        if needed > hierarchy.pv_regions.bytes_per_core {
+            hierarchy = hierarchy.with_pv_bytes_per_core(needed);
+        }
+        config.with_hierarchy(hierarchy)
+    }
+
+    /// Simulates this spec's workload under `config` (normally
+    /// [`RunSpec::config`], possibly adjusted by the caller).
+    pub fn run(&self, config: &SimConfig) -> RunMetrics {
+        match self.workload {
+            Workload::Homogeneous(workload) => run_workload(config, &workload.params()),
+            Workload::Mix(workloads) => {
+                let params: Vec<_> = workloads.iter().map(|w| w.params()).collect();
+                run_workload_mix(config, &params)
+            }
+            Workload::Scenario(scenario) => {
+                let streams = scenario.build_streams(config.cores, config.seed);
+                run_streams(config, streams)
+            }
         }
     }
 }
 
-/// One non-stationary scenario simulation to run: every core consumes its
-/// per-core stream of `scenario` (phase flips, flash crowds, diurnal
-/// modulation, or an antagonist on the last core).
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScenarioSpec {
-    /// The scenario composition all cores run.
-    pub scenario: Scenario,
-    /// Which prefetcher each core uses.
-    pub prefetcher: PrefetcherKind,
-    /// Which memory hierarchy variant is simulated.
-    pub hierarchy: HierarchyVariant,
-}
-
-impl ScenarioSpec {
-    /// A scenario run on the baseline hierarchy.
-    pub fn base(scenario: Scenario, prefetcher: PrefetcherKind) -> Self {
-        ScenarioSpec {
-            scenario,
-            prefetcher,
-            hierarchy: HierarchyVariant::Base,
+/// Applies `job` to every item over up to `threads` worker threads and
+/// returns the results in item order. Each worker claims the next
+/// unclaimed index, so a slow item never leaves the other workers idle
+/// behind a fixed partition.
+pub(crate) fn par_map<T: Sync, R: Send>(
+    items: &[T],
+    threads: usize,
+    job: impl Fn(&T) -> R + Sync,
+) -> Vec<R> {
+    // `Relaxed` suffices: the counter only hands out indices, and results
+    // come back through `join`.
+    let next = AtomicUsize::new(0);
+    let workers = threads.max(1).min(items.len());
+    let mut results: Vec<Option<R>> = items.iter().map(|_| None).collect();
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut done = Vec::new();
+                    loop {
+                        let index = next.fetch_add(1, Ordering::Relaxed);
+                        let Some(item) = items.get(index) else {
+                            break done;
+                        };
+                        done.push((index, job(item)));
+                    }
+                })
+            })
+            .collect();
+        for handle in handles {
+            let done = handle.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            for (index, result) in done {
+                results[index] = Some(result);
+            }
         }
-    }
-
-    fn key(&self) -> RunKey {
-        RunKey {
-            workload: WorkloadSel::Scenario(self.scenario),
-            prefetcher: self.prefetcher.clone(),
-            hierarchy: self.hierarchy,
-        }
-    }
-}
-
-/// One heterogeneous multi-programmed simulation to run: core `i` runs
-/// `workloads[i]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MixSpec {
-    /// Per-core workloads.
-    pub workloads: [WorkloadId; 4],
-    /// Which prefetcher each core uses.
-    pub prefetcher: PrefetcherKind,
-    /// Which memory hierarchy variant is simulated.
-    pub hierarchy: HierarchyVariant,
-}
-
-impl MixSpec {
-    /// A mixed run on the baseline hierarchy.
-    pub fn base(workloads: [WorkloadId; 4], prefetcher: PrefetcherKind) -> Self {
-        MixSpec {
-            workloads,
-            prefetcher,
-            hierarchy: HierarchyVariant::Base,
-        }
-    }
-
-    /// Display label of the mix (e.g. `"Apache+DB2+Qry1+Qry17"`).
-    pub fn label(&self) -> String {
-        self.workloads.iter().map(|w| w.name()).collect::<Vec<_>>().join("+")
-    }
-
-    fn key(&self) -> RunKey {
-        RunKey {
-            workload: WorkloadSel::PerCore(self.workloads),
-            prefetcher: self.prefetcher.clone(),
-            hierarchy: self.hierarchy,
-        }
-    }
+    });
+    results.into_iter().map(|r| r.expect("every index is claimed once")).collect()
 }
 
 /// Runs simulations, caching results so experiments that share
@@ -282,7 +287,7 @@ impl MixSpec {
 pub struct Runner {
     scale: Scale,
     threads: usize,
-    cache: Mutex<HashMap<RunKey, Arc<RunMetrics>>>,
+    cache: Mutex<HashMap<RunSpec, Arc<RunMetrics>>>,
     runs_executed: AtomicUsize,
 }
 
@@ -309,104 +314,46 @@ impl Runner {
         self.scale
     }
 
+    /// The worker threads batched runs fan out over.
+    pub(crate) fn threads(&self) -> usize {
+        self.threads
+    }
+
     /// Number of simulations actually executed (cache misses).
     pub fn runs_executed(&self) -> usize {
         self.runs_executed.load(Ordering::Relaxed)
     }
 
-    fn execute(&self, key: &RunKey) -> Arc<RunMetrics> {
-        let config =
-            self.scale.config(key.prefetcher.clone()).with_hierarchy(key.hierarchy.build(4));
-        let metrics = match key.workload {
-            WorkloadSel::Homogeneous(workload) => run_workload(&config, &workload.params()),
-            WorkloadSel::PerCore(workloads) => {
-                let params: Vec<_> = workloads.iter().map(|w| w.params()).collect();
-                run_workload_mix(&config, &params)
-            }
-            WorkloadSel::Scenario(scenario) => {
-                let streams = scenario.build_streams(config.cores, config.seed);
-                run_streams(&config, streams)
-            }
-        };
+    fn execute(&self, spec: &RunSpec) -> Arc<RunMetrics> {
+        let metrics = spec.run(&spec.config(self.scale));
         self.runs_executed.fetch_add(1, Ordering::Relaxed);
         Arc::new(metrics)
-    }
-
-    fn metrics_for_key(&self, key: RunKey) -> Arc<RunMetrics> {
-        if let Some(found) = self.cache.lock().get(&key) {
-            return Arc::clone(found);
-        }
-        let metrics = self.execute(&key);
-        self.cache.lock().insert(key, Arc::clone(&metrics));
-        metrics
     }
 
     /// Returns the metrics for `spec`, running the simulation if it has not
     /// been run yet.
     pub fn metrics(&self, spec: &RunSpec) -> Arc<RunMetrics> {
-        self.metrics_for_key(spec.key())
-    }
-
-    /// Returns the metrics for a heterogeneous mix, running the simulation
-    /// if it has not been run yet (mixes share the same cache as
-    /// homogeneous runs).
-    pub fn metrics_mixed(&self, spec: &MixSpec) -> Arc<RunMetrics> {
-        self.metrics_for_key(spec.key())
-    }
-
-    /// Returns the metrics for a scenario run, running the simulation if
-    /// it has not been run yet (scenarios share the cache with everything
-    /// else).
-    pub fn metrics_scenario(&self, spec: &ScenarioSpec) -> Arc<RunMetrics> {
-        self.metrics_for_key(spec.key())
-    }
-
-    fn prefetch_keys(&self, keys: Vec<RunKey>) {
-        let pending: Vec<RunKey> = {
-            let cache = self.cache.lock();
-            let mut seen = std::collections::HashSet::new();
-            keys.into_iter()
-                .filter(|key| !cache.contains_key(key) && seen.insert(key.clone()))
-                .collect()
-        };
-        if pending.is_empty() {
-            return;
+        if let Some(found) = self.cache.lock().get(spec) {
+            return Arc::clone(found);
         }
-        let next = AtomicUsize::new(0);
-        let workers = self.threads.min(pending.len());
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed);
-                    let Some(key) = pending.get(index) else {
-                        break;
-                    };
-                    // Re-check under the lock in case another worker beat us
-                    // to it.
-                    if self.cache.lock().contains_key(key) {
-                        continue;
-                    }
-                    let metrics = self.execute(key);
-                    self.cache.lock().insert(key.clone(), metrics);
-                });
-            }
-        });
+        let metrics = self.execute(spec);
+        self.cache.lock().insert(spec.clone(), Arc::clone(&metrics));
+        metrics
     }
 
     /// Runs every spec in `specs` that is not cached yet, in parallel.
     pub fn prefetch(&self, specs: &[RunSpec]) {
-        self.prefetch_keys(specs.iter().map(RunSpec::key).collect());
-    }
-
-    /// Runs every mixed spec in `specs` that is not cached yet, in parallel.
-    pub fn prefetch_mixed(&self, specs: &[MixSpec]) {
-        self.prefetch_keys(specs.iter().map(MixSpec::key).collect());
-    }
-
-    /// Runs every scenario spec in `specs` that is not cached yet, in
-    /// parallel.
-    pub fn prefetch_scenarios(&self, specs: &[ScenarioSpec]) {
-        self.prefetch_keys(specs.iter().map(ScenarioSpec::key).collect());
+        let pending: Vec<RunSpec> = {
+            let cache = self.cache.lock();
+            let mut seen = HashSet::new();
+            specs
+                .iter()
+                .filter(|spec| !cache.contains_key(spec) && seen.insert(*spec))
+                .cloned()
+                .collect()
+        };
+        let results = par_map(&pending, self.threads, |spec| self.execute(spec));
+        self.cache.lock().extend(pending.into_iter().zip(results));
     }
 }
 
@@ -450,20 +397,20 @@ mod tests {
             },
             ..a.clone()
         };
-        assert_ne!(a.key(), b.key());
-        assert_ne!(a.key(), c.key());
-        assert_ne!(a.key(), d.key());
-        assert_ne!(c.key(), d.key());
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert_ne!(a, d);
+        assert_ne!(c, d);
     }
 
     #[test]
     fn mixed_keys_do_not_alias_homogeneous_keys() {
         let homogeneous = RunSpec::base(WorkloadId::Apache, PrefetcherKind::None);
-        let mix = MixSpec::base([WorkloadId::Apache; 4], PrefetcherKind::None);
+        let mix = RunSpec::base([WorkloadId::Apache; 4], PrefetcherKind::None);
         // Even a mix of four identical workloads keys separately from the
         // homogeneous run (same simulated behaviour, different spec space).
-        assert_ne!(homogeneous.key(), mix.key());
-        assert_eq!(mix.label(), "Apache+Apache+Apache+Apache");
+        assert_ne!(homogeneous, mix);
+        assert_eq!(mix.workload.label(), "mix:Apache+Apache+Apache+Apache");
     }
 
     #[test]
@@ -485,7 +432,7 @@ mod tests {
     #[test]
     fn mixed_metrics_are_cached() {
         let runner = Runner::new(Scale::Smoke, 2);
-        let spec = MixSpec::base(
+        let spec = RunSpec::base(
             [
                 WorkloadId::Qry1,
                 WorkloadId::Qry1,
@@ -494,8 +441,8 @@ mod tests {
             ],
             PrefetcherKind::None,
         );
-        let first = runner.metrics_mixed(&spec);
-        let second = runner.metrics_mixed(&spec);
+        let first = runner.metrics(&spec);
+        let second = runner.metrics(&spec);
         assert_eq!(runner.runs_executed(), 1);
         assert_eq!(first.elapsed_cycles, second.elapsed_cycles);
         assert_eq!(first.workload, "Qry1+Qry1+Qry17+Qry17");
@@ -523,5 +470,39 @@ mod tests {
         assert_eq!(runner.runs_executed(), 2);
         runner.prefetch(&specs);
         assert_eq!(runner.runs_executed(), 2);
+    }
+
+    #[test]
+    fn par_map_calls_the_job_once_per_item_in_order() {
+        for threads in [1, 2, 8] {
+            for len in [0, 1, 5] {
+                let items: Vec<usize> = (0..len).collect();
+                let calls: Vec<AtomicUsize> = items.iter().map(|_| AtomicUsize::new(0)).collect();
+                let results = par_map(&items, threads, |&item| {
+                    calls[item].fetch_add(1, Ordering::Relaxed);
+                    item * 10
+                });
+                assert_eq!(results, items.iter().map(|i| i * 10).collect::<Vec<_>>());
+                assert!(
+                    calls.iter().all(|c| c.load(Ordering::Relaxed) == 1),
+                    "{threads} threads x {len} items: every item exactly once"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn config_grows_the_pv_region_to_fit_cohabiting_kinds() {
+        let kind = PrefetcherKind::composite_shared(8);
+        let config = RunSpec::base(WorkloadId::Qry1, kind.clone()).config(Scale::Smoke);
+        assert_eq!(
+            config.hierarchy.pv_regions.bytes_per_core,
+            kind.pv_bytes_per_core()
+        );
+        config.assert_valid();
+        // A kind that fits keeps the hierarchy's own reservation.
+        let single =
+            RunSpec::base(WorkloadId::Qry1, PrefetcherKind::sms_pv8()).config(Scale::Smoke);
+        assert_eq!(single.hierarchy, HierarchyVariant::Base.build(4));
     }
 }

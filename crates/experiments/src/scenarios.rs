@@ -21,7 +21,7 @@
 //!   pollutes the shared L2.
 
 use crate::report::{pct, Table};
-use crate::runner::{HierarchyVariant, Runner, Scale, ScenarioSpec};
+use crate::runner::{HierarchyVariant, RunSpec, Runner, Scale};
 use pv_mem::ContentionModel;
 use pv_sim::throttle::LevelChange;
 use pv_sim::PrefetcherKind;
@@ -155,10 +155,10 @@ pub struct ScenarioRow {
     pub table_hit_rates: Vec<(String, f64)>,
 }
 
-fn row_for(runner: &Runner, spec: &ScenarioSpec) -> ScenarioRow {
-    let metrics = runner.metrics_scenario(spec);
+fn row_for(runner: &Runner, spec: &RunSpec) -> ScenarioRow {
+    let metrics = runner.metrics(spec);
     ScenarioRow {
-        scenario: spec.scenario.name(),
+        scenario: spec.workload.label(),
         config: metrics.configuration.clone(),
         hierarchy: spec.hierarchy.label(),
         ipc: metrics.aggregate_ipc(),
@@ -177,20 +177,20 @@ fn row_for(runner: &Runner, spec: &ScenarioSpec) -> ScenarioRow {
 /// The specs the experiment runs at a scale: the throttled and fixed-degree
 /// flips under scarce bandwidth, the cohabiting flip, and the
 /// characterisation scenarios with SMS-PV8 on the baseline hierarchy.
-pub fn specs(scale: Scale) -> Vec<ScenarioSpec> {
+pub fn specs(scale: Scale) -> Vec<RunSpec> {
     let mut specs = vec![
-        ScenarioSpec {
-            scenario: throttle_flip(scale),
+        RunSpec {
+            workload: throttle_flip(scale).into(),
             prefetcher: PrefetcherKind::sms_pv8_throttled(),
             hierarchy: throttle_hierarchy(),
         },
-        ScenarioSpec {
-            scenario: throttle_flip(scale),
+        RunSpec {
+            workload: throttle_flip(scale).into(),
             prefetcher: PrefetcherKind::sms_pv8(),
             hierarchy: throttle_hierarchy(),
         },
-        ScenarioSpec {
-            scenario: throttle_flip(scale),
+        RunSpec {
+            workload: throttle_flip(scale).into(),
             prefetcher: PrefetcherKind::composite_shared(8),
             hierarchy: HierarchyVariant::PvRegion {
                 bytes_per_core: PrefetcherKind::composite_shared(8).pv_bytes_per_core(),
@@ -199,7 +199,7 @@ pub fn specs(scale: Scale) -> Vec<ScenarioSpec> {
         },
     ];
     for scenario in characterisation_scenarios(scale) {
-        specs.push(ScenarioSpec::base(scenario, PrefetcherKind::sms_pv8()));
+        specs.push(RunSpec::base(scenario, PrefetcherKind::sms_pv8()));
     }
     specs
 }
@@ -207,7 +207,7 @@ pub fn specs(scale: Scale) -> Vec<ScenarioSpec> {
 /// Runs every scenario spec and returns the characterisation rows.
 pub fn rows(runner: &Runner) -> Vec<ScenarioRow> {
     let specs = specs(runner.scale());
-    runner.prefetch_scenarios(&specs);
+    runner.prefetch(&specs);
     specs.iter().map(|spec| row_for(runner, spec)).collect()
 }
 
@@ -259,12 +259,12 @@ pub fn report(runner: &Runner) -> String {
     );
     let mut out = table.render();
 
-    let spec = ScenarioSpec {
-        scenario: throttle_flip(runner.scale()),
+    let spec = RunSpec {
+        workload: throttle_flip(runner.scale()).into(),
         prefetcher: PrefetcherKind::sms_pv8_throttled(),
         hierarchy: throttle_hierarchy(),
     };
-    let metrics = runner.metrics_scenario(&spec);
+    let metrics = runner.metrics(&spec);
     if let Some(throttle) = &metrics.throttle {
         let mut reconverge = Table::new(
             "Throttle re-convergence across the Qry1→Apache→Qry1 phase flip (accuracy epochs)",

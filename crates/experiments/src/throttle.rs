@@ -91,13 +91,13 @@ pub fn rows_for(runner: &Runner, workloads: &[WorkloadId]) -> Vec<ThrottleRow> {
                 cycles_per_transfer,
             };
             specs.push(RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::None,
                 hierarchy,
             });
             for prefetcher in configurations() {
                 specs.push(RunSpec {
-                    workload,
+                    workload: workload.into(),
                     prefetcher,
                     hierarchy,
                 });
@@ -113,13 +113,13 @@ pub fn rows_for(runner: &Runner, workloads: &[WorkloadId]) -> Vec<ThrottleRow> {
                 cycles_per_transfer,
             };
             let baseline = runner.metrics(&RunSpec {
-                workload,
+                workload: workload.into(),
                 prefetcher: PrefetcherKind::None,
                 hierarchy,
             });
             for prefetcher in configurations() {
                 let metrics = runner.metrics(&RunSpec {
-                    workload,
+                    workload: workload.into(),
                     prefetcher,
                     hierarchy,
                 });

@@ -1,0 +1,94 @@
+//! The `reproduce` and `fleet` binaries reject bad arguments with exit 2
+//! before running anything, and `fleet` reports a sink that fails as an
+//! error (exit 1), never as a panic or a silent success.
+
+use std::process::{Command, Output, Stdio};
+
+/// The smallest fleet grid: one point at smoke scale on one thread.
+const ONE_POINT: &str = "--kinds none --workloads Qry1 --cpt 0 --scale smoke --threads 1";
+
+fn run(binary: &str, args: &[&str]) -> Output {
+    Command::new(binary)
+        .args(args)
+        .stdin(Stdio::null())
+        .output()
+        .expect("the binary starts")
+}
+
+fn stderr(output: &Output) -> String {
+    String::from_utf8_lossy(&output.stderr).into_owned()
+}
+
+#[test]
+fn reproduce_rejects_zero_threads() {
+    let output = run(
+        env!("CARGO_BIN_EXE_reproduce"),
+        &["sec46", "--threads", "0"],
+    );
+    assert_eq!(output.status.code(), Some(2), "stderr: {}", stderr(&output));
+    assert!(
+        stderr(&output).contains("thread count"),
+        "stderr: {}",
+        stderr(&output)
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "a rejected run must print no report"
+    );
+}
+
+#[test]
+fn reproduce_rejects_an_unknown_scale() {
+    let output = run(
+        env!("CARGO_BIN_EXE_reproduce"),
+        &["sec46", "--scale", "smok"],
+    );
+    assert_eq!(output.status.code(), Some(2), "stderr: {}", stderr(&output));
+    assert!(
+        stderr(&output).contains("unknown scale 'smok'"),
+        "stderr: {}",
+        stderr(&output)
+    );
+    assert!(
+        output.stdout.is_empty(),
+        "a rejected run must print no report"
+    );
+}
+
+#[test]
+fn fleet_reports_a_full_disk_instead_of_exiting_0() {
+    if !std::path::Path::new("/dev/full").exists() {
+        return;
+    }
+    let mut args: Vec<&str> = ONE_POINT.split(' ').collect();
+    args.extend(["--out", "/dev/full"]);
+    let output = run(env!("CARGO_BIN_EXE_fleet"), &args);
+    let stderr = stderr(&output);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("writing the output failed"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn fleet_reports_a_closed_pipe_instead_of_panicking() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_fleet"))
+        .args(ONE_POINT.split(' '))
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("fleet starts");
+    // Close the read end before the first row is ready.
+    drop(child.stdout.take());
+    let output = child.wait_with_output().expect("fleet output");
+    let stderr = stderr(&output);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("writing the output failed"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}

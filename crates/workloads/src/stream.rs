@@ -20,7 +20,7 @@ use crate::record::TraceRecord;
 ///
 /// `Send` is a supertrait: streams are owned by simulator cores, and a
 /// whole `System` (cores, engines, hierarchy) must be movable across host
-/// threads so fleet sweeps can distribute runs over a work-stealing pool.
+/// threads so fleet sweeps can distribute runs over worker threads.
 pub trait AccessStream: Send {
     /// The next record, or `None` when the stream is exhausted.
     fn next_record(&mut self) -> Option<TraceRecord>;

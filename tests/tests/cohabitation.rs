@@ -181,7 +181,7 @@ fn shared_pvcache_reduces_predictor_traffic_vs_dedicated_split() {
 fn queued_cohabitation_reports_per_table_queue_delays() {
     let runner = Runner::new(Scale::Smoke, 4);
     let spec = RunSpec {
-        workload: WorkloadId::Qry1,
+        workload: WorkloadId::Qry1.into(),
         prefetcher: PrefetcherKind::composite_shared(8),
         hierarchy: HierarchyVariant::PvRegion {
             bytes_per_core: cohabit::PV_BYTES_PER_CORE,

@@ -247,7 +247,7 @@ fn filling_one_channel_to_queue_depth_charges_exact_slot_waits() {
 fn queued_sms_pv8_narrow_bus_digest_is_pinned() {
     let runner = Runner::new(Scale::Smoke, 2);
     let metrics = runner.metrics(&RunSpec {
-        workload: WorkloadId::Qry1,
+        workload: WorkloadId::Qry1.into(),
         prefetcher: PrefetcherKind::sms_pv8(),
         hierarchy: HierarchyVariant::QueuedDram {
             cycles_per_transfer: 128,
@@ -268,7 +268,7 @@ fn queued_sms_pv8_narrow_bus_digest_is_pinned() {
 fn queued_markov_pv8_digest_is_pinned() {
     let runner = Runner::new(Scale::Smoke, 2);
     let metrics = runner.metrics(&RunSpec {
-        workload: WorkloadId::Db2,
+        workload: WorkloadId::Db2.into(),
         prefetcher: PrefetcherKind::markov_pv8(),
         hierarchy: HierarchyVariant::QueuedDram {
             cycles_per_transfer: 64,
@@ -290,7 +290,7 @@ fn queued_markov_pv8_digest_is_pinned() {
 fn queued_cohabitation_digest_is_pinned() {
     let runner = Runner::new(Scale::Smoke, 2);
     let metrics = runner.metrics(&RunSpec {
-        workload: WorkloadId::Apache,
+        workload: WorkloadId::Apache.into(),
         prefetcher: PrefetcherKind::composite_shared_scarce(8),
         hierarchy: HierarchyVariant::QueuedDram {
             cycles_per_transfer: 64,

@@ -7,8 +7,8 @@
 //! worker thread or many, and across back-to-back runs — the seeded-replay
 //! discipline that keeps every recorded number reproducible.
 
-use pv_experiments::fleet::{run_fleet, FleetGrid, FleetWorkload};
-use pv_experiments::{cohabit, HierarchyVariant, MixSpec, RunSpec, Runner, Scale, ScenarioSpec};
+use pv_experiments::fleet::{run_fleet, FleetGrid};
+use pv_experiments::{cohabit, HierarchyVariant, RunSpec, Runner, Scale, Workload};
 use pv_mem::ContentionModel;
 use pv_sim::{run_streams, PrefetcherKind};
 use pv_trace::{record_generator, ReplayStream, Scenario};
@@ -21,7 +21,7 @@ fn specs() -> Vec<RunSpec> {
     for prefetcher in [PrefetcherKind::None, PrefetcherKind::sms_pv8()] {
         specs.push(RunSpec::base(WorkloadId::Qry1, prefetcher.clone()));
         specs.push(RunSpec {
-            workload: WorkloadId::Qry1,
+            workload: WorkloadId::Qry1.into(),
             prefetcher,
             hierarchy: HierarchyVariant::QueuedDram {
                 cycles_per_transfer: 64,
@@ -37,7 +37,7 @@ fn specs() -> Vec<RunSpec> {
     ] {
         for contention in [ContentionModel::Ideal, ContentionModel::Queued] {
             specs.push(RunSpec {
-                workload: WorkloadId::Qry1,
+                workload: WorkloadId::Qry1.into(),
                 prefetcher: prefetcher.clone(),
                 hierarchy: HierarchyVariant::PvRegion {
                     bytes_per_core: cohabit::PV_BYTES_PER_CORE,
@@ -86,15 +86,15 @@ fn queued_contention_digests_are_reproducible_for_mixes() {
         WorkloadId::Qry1,
         WorkloadId::Qry17,
     ];
-    let spec = MixSpec {
-        workloads: mix,
+    let spec = RunSpec {
+        workload: mix.into(),
         prefetcher: PrefetcherKind::sms_pv8(),
         hierarchy: HierarchyVariant::QueuedDram {
             cycles_per_transfer: 32,
         },
     };
-    let a = Runner::new(Scale::Smoke, 1).metrics_mixed(&spec).digest();
-    let b = Runner::new(Scale::Smoke, 4).metrics_mixed(&spec).digest();
+    let a = Runner::new(Scale::Smoke, 1).metrics(&spec).digest();
+    let b = Runner::new(Scale::Smoke, 4).metrics(&spec).digest();
     assert_eq!(a, b, "mixed queued runs must replay identically");
 }
 
@@ -102,23 +102,23 @@ fn queued_contention_digests_are_reproducible_for_mixes() {
 /// shape (flip, flash crowd, diurnal, antagonist) plus the throttled flip
 /// under queued bandwidth — scenario streams rebuild generators mid-run,
 /// which must not depend on which worker thread executes the run.
-fn scenario_specs() -> Vec<ScenarioSpec> {
+fn scenario_specs() -> Vec<RunSpec> {
     let flip = Scenario::PhaseFlip {
         a: WorkloadId::Qry1,
         b: WorkloadId::Apache,
         period: 10_000,
     };
     vec![
-        ScenarioSpec::base(flip, PrefetcherKind::sms_pv8()),
-        ScenarioSpec {
-            scenario: flip,
+        RunSpec::base(flip, PrefetcherKind::sms_pv8()),
+        RunSpec {
+            workload: flip.into(),
             prefetcher: PrefetcherKind::sms_pv8_throttled(),
             hierarchy: HierarchyVariant::QueuedDramEpoch {
                 cycles_per_transfer: 64,
                 accuracy_epoch: 8,
             },
         },
-        ScenarioSpec::base(
+        RunSpec::base(
             Scenario::FlashCrowd {
                 workload: WorkloadId::Oracle,
                 calm: 10_000,
@@ -127,7 +127,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             },
             PrefetcherKind::sms_pv8(),
         ),
-        ScenarioSpec::base(
+        RunSpec::base(
             Scenario::Diurnal {
                 workload: WorkloadId::Db2,
                 period: 20_000,
@@ -136,7 +136,7 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
             },
             PrefetcherKind::sms_pv8(),
         ),
-        ScenarioSpec::base(
+        RunSpec::base(
             Scenario::Antagonist {
                 workload: WorkloadId::Qry1,
             },
@@ -146,17 +146,14 @@ fn scenario_specs() -> Vec<ScenarioSpec> {
 }
 
 fn scenario_digests(runner: &Runner) -> Vec<String> {
-    scenario_specs()
-        .iter()
-        .map(|spec| runner.metrics_scenario(spec).digest())
-        .collect()
+    scenario_specs().iter().map(|spec| runner.metrics(spec).digest()).collect()
 }
 
 #[test]
 fn scenario_runs_agree_across_thread_counts() {
     let serial = Runner::new(Scale::Smoke, 1);
     let parallel = Runner::new(Scale::Smoke, 8);
-    parallel.prefetch_scenarios(&scenario_specs());
+    parallel.prefetch(&scenario_specs());
     assert_eq!(
         scenario_digests(&serial),
         scenario_digests(&parallel),
@@ -174,14 +171,14 @@ fn fleet_points() -> Vec<pv_experiments::FleetPoint> {
             PrefetcherKind::composite_shared(8),
         ],
         workloads: vec![
-            FleetWorkload::Homogeneous(WorkloadId::Qry1),
-            FleetWorkload::Mix([
+            Workload::Homogeneous(WorkloadId::Qry1),
+            Workload::Mix([
                 WorkloadId::Apache,
                 WorkloadId::Db2,
                 WorkloadId::Qry1,
                 WorkloadId::Qry17,
             ]),
-            FleetWorkload::Scenario(Scenario::PhaseFlip {
+            Workload::Scenario(Scenario::PhaseFlip {
                 a: WorkloadId::Qry1,
                 b: WorkloadId::Apache,
                 period: 10_000,
@@ -197,7 +194,8 @@ fn fleet_points() -> Vec<pv_experiments::FleetPoint> {
 /// may legitimately differ across thread counts; row *content* may not).
 fn fleet_rows(threads: usize) -> Vec<String> {
     let mut out = Vec::new();
-    let summary = run_fleet(fleet_points(), Scale::Smoke, threads, &mut out);
+    let summary = run_fleet(fleet_points(), Scale::Smoke, threads, &mut out)
+        .expect("an in-memory sink accepts every write");
     assert_eq!(summary.points, fleet_points().len());
     let text = String::from_utf8(out).expect("fleet output is UTF-8");
     let mut rows: Vec<String> = text
@@ -216,7 +214,7 @@ fn fleet_sweeps_agree_bit_for_bit_across_thread_counts() {
     assert_eq!(serial.len(), fleet_points().len());
     assert_eq!(
         serial, parallel,
-        "work-stealing must not change any simulated outcome, only completion order"
+        "thread count must not change any simulated outcome, only completion order"
     );
     // The grid really covers the risky shapes: throttled points and the
     // scenario/mix workloads all made it into the row set.
@@ -263,7 +261,7 @@ fn ideal_and_queued_runs_differ_but_only_in_timing_dependent_fields() {
     let runner = Runner::new(Scale::Smoke, 2);
     let ideal = runner.metrics(&RunSpec::base(WorkloadId::Qry1, PrefetcherKind::sms_pv8()));
     let queued = runner.metrics(&RunSpec {
-        workload: WorkloadId::Qry1,
+        workload: WorkloadId::Qry1.into(),
         prefetcher: PrefetcherKind::sms_pv8(),
         hierarchy: HierarchyVariant::QueuedDram {
             cycles_per_transfer: 64,

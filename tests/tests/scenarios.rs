@@ -3,7 +3,7 @@
 //! and cohabiting predictors keep serving their tables as demand shifts.
 
 use pv_experiments::scenarios::{reconvergence_per_core, throttle_hierarchy};
-use pv_experiments::{HierarchyVariant, RunSpec, Runner, Scale, ScenarioSpec};
+use pv_experiments::{HierarchyVariant, RunSpec, Runner, Scale};
 use pv_mem::ContentionModel;
 use pv_sim::{run_streams, PrefetcherKind, SimConfig, System};
 use pv_trace::{record_generator, ReplayStream, Scenario};
@@ -122,19 +122,20 @@ fn cohabiting_tables_keep_serving_under_a_phase_flip() {
     // smaller), exactly the contrast the cohabitation experiment reports.
     let runner = Runner::new(Scale::Smoke, 2);
     let kind = PrefetcherKind::composite_shared(8);
-    let spec = ScenarioSpec {
-        scenario: Scenario::PhaseFlip {
+    let spec = RunSpec {
+        workload: Scenario::PhaseFlip {
             a: WorkloadId::Qry1,
             b: WorkloadId::Apache,
             period: 10_000,
-        },
+        }
+        .into(),
         prefetcher: kind.clone(),
         hierarchy: HierarchyVariant::PvRegion {
             bytes_per_core: kind.pv_bytes_per_core(),
             contention: ContentionModel::Ideal,
         },
     };
-    let metrics = runner.metrics_scenario(&spec);
+    let metrics = runner.metrics(&spec);
     assert_eq!(metrics.pv_tables.len(), 2, "SMS and Markov must cohabit");
     for table in &metrics.pv_tables {
         let ratio = table.stats.pvcache_hit_ratio();

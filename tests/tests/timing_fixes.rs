@@ -196,7 +196,7 @@ fn ideal_digests_are_bit_identical_to_bench_pr3() {
 fn queued_digest_change_from_the_writeback_fix_is_pinned() {
     let runner = Runner::new(Scale::Smoke, 2);
     let metrics = runner.metrics(&RunSpec {
-        workload: WorkloadId::Qry1,
+        workload: WorkloadId::Qry1.into(),
         prefetcher: PrefetcherKind::sms_pv8(),
         hierarchy: HierarchyVariant::QueuedDram {
             cycles_per_transfer: 64,
