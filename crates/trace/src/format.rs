@@ -1,14 +1,24 @@
 //! The on-disk trace format: a fixed header followed by 64-byte blocks of
 //! bit-packed records.
 //!
-//! The layout reuses the paper's Figure 3a word-window packing idiom that
+//! The layout follows the paper's Figure 3a packing idiom that
 //! `pv_core::packing` productized for PVTable sets: records are packed back
-//! to back into cache-block-sized frames with `write_bits`/`read_bits`
-//! (single 128-bit window shift/masks, no per-bit loops), and any bits left
+//! to back, little-endian, into cache-block-sized frames, and any bits left
 //! over at the end of a block form an unused trailer. With the default
 //! widths (48-bit PC, 48-bit address, 2-bit op, 14-bit instruction count =
 //! 112 bits) each 64-byte block carries four records with a 64-bit trailer —
 //! 16 bytes per record against the 24 an in-memory [`TraceRecord`] occupies.
+//!
+//! The codec moves a whole record at once. The encoder builds the record as
+//! one `u128` (pc, then address, op and count above it), shifts it to the
+//! slot's bit offset within the slot's first byte, and ORs it into the
+//! block with one 16-byte load and one store; the decoder loads the same
+//! window and takes the four fields with shifts and masks. That needs the
+//! bit shift plus the record width to fit 128 bits, which holds at every
+//! slot of a layout up to 121 bits (the default included) and at some slots
+//! of a 122–128-bit layout. Any other slot — every slot of a record over
+//! 128 bits, up to the format's 162 — goes field by field through
+//! `write_bits`/`read_bits`. Both paths produce the same bytes.
 //!
 //! The header is versioned and self-describing (field widths, block size,
 //! record count, provenance); readers reject unknown magics and versions so
@@ -28,6 +38,15 @@ pub const BLOCK_BYTES: usize = 64;
 
 /// Bits used to encode [`MemOp`].
 const OP_BITS: u32 = 2;
+/// Bytes of the window a whole record moves through.
+const WINDOW_BYTES: usize = 16;
+/// The writer's staging block: one block plus room for a window that
+/// starts on the block's last byte, so every slot's window is in bounds.
+const STAGING_BYTES: usize = BLOCK_BYTES + WINDOW_BYTES - 1;
+/// Records [`TraceWriter::with_capacity`] makes room for at most (64 MiB of
+/// default-layout trace); a longer trace grows its buffer as it fills, so an
+/// oversized record count cannot demand a huge up-front allocation.
+pub(crate) const MAX_RESERVED_RECORDS: u64 = 1 << 22;
 
 /// Errors produced while encoding or decoding a trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -170,8 +189,24 @@ impl TraceLayout {
             .checked_add(HEADER_BYTES)
     }
 
-    /// Packs `record` into `block` at slot `slot`.
-    fn pack(&self, block: &mut [u8], slot: usize, record: &TraceRecord) -> Result<(), TraceError> {
+    /// Where slot `slot` starts: its first byte and the bit shift within
+    /// it, and whether the whole record fits one window from there.
+    fn slot_start(&self, slot: usize) -> (usize, usize, bool) {
+        let offset = slot * self.record_bits() as usize;
+        let shift = offset % 8;
+        let fits = shift + self.record_bits() as usize <= 8 * WINDOW_BYTES;
+        (offset / 8, shift, fits)
+    }
+
+    /// Packs `record` into `block` at slot `slot`, ORing it into bits that
+    /// must be zero. Every field is checked before any byte is written, so
+    /// a rejected record leaves `block` untouched.
+    fn pack(
+        &self,
+        block: &mut [u8; STAGING_BYTES],
+        slot: usize,
+        record: &TraceRecord,
+    ) -> Result<(), TraceError> {
         let check = |field: &'static str, value: u64, bits: u32| {
             if bits < 64 && value >> bits != 0 {
                 Err(TraceError::FieldOverflow { field, value, bits })
@@ -186,36 +221,76 @@ impl TraceLayout {
             u64::from(record.non_mem_instructions),
             self.imm_bits,
         )?;
-        let mut offset = slot * self.record_bits() as usize;
+        let op = encode_op(record.op);
+        let (first, shift, fits) = self.slot_start(slot);
+        if fits {
+            // The record is at most 128 bits here, so every field's shift
+            // is below 128, and the checked fields cannot overlap.
+            let op_at = self.pc_bits + self.addr_bits;
+            let word = u128::from(record.pc)
+                | u128::from(record.address) << self.pc_bits
+                | u128::from(op) << op_at
+                | u128::from(record.non_mem_instructions) << (op_at + OP_BITS);
+            let window: &mut [u8; WINDOW_BYTES] = (&mut block[first..first + WINDOW_BYTES])
+                .try_into()
+                .expect("the staging block holds a window at every slot");
+            *window = (u128::from_le_bytes(*window) | word << shift).to_le_bytes();
+            return Ok(());
+        }
+        let mut offset = 8 * first + shift;
         let mut put = |value: u64, bits: u32| {
             write_bits(block, offset, value, bits);
             offset += bits as usize;
         };
         put(record.pc, self.pc_bits);
         put(record.address, self.addr_bits);
-        put(encode_op(record.op), OP_BITS);
+        put(op, OP_BITS);
         put(u64::from(record.non_mem_instructions), self.imm_bits);
         Ok(())
     }
 
-    /// Unpacks the record at slot `slot` of `block`.
-    fn unpack(&self, block: &[u8], slot: usize) -> Result<TraceRecord, TraceError> {
-        let mut offset = slot * self.record_bits() as usize;
-        let mut take = |bits: u32| {
-            let value = read_bits(block, offset, bits);
-            offset += bits as usize;
-            value
-        };
-        let pc = take(self.pc_bits);
-        let address = take(self.addr_bits);
-        let op = decode_op(take(OP_BITS) as u8)?;
-        let non_mem_instructions = take(self.imm_bits) as u32;
+    /// Unpacks the record at slot `slot` of the 64-byte `block`.
+    pub(crate) fn unpack(&self, block: &[u8], slot: usize) -> Result<TraceRecord, TraceError> {
+        let (first, shift, fits) = self.slot_start(slot);
+        if fits {
+            let mut word = load_window(&block[first..]) >> shift;
+            self.take_record(|bits| {
+                let value = (word & ((1u128 << bits) - 1)) as u64;
+                word >>= bits;
+                value
+            })
+        } else {
+            let mut offset = 8 * first + shift;
+            self.take_record(|bits| {
+                let value = read_bits(block, offset, bits);
+                offset += bits as usize;
+                value
+            })
+        }
+    }
+
+    /// Builds a record from its four fields, which `take(bits)` yields in
+    /// packing order.
+    fn take_record(&self, mut take: impl FnMut(u32) -> u64) -> Result<TraceRecord, TraceError> {
         Ok(TraceRecord {
-            pc,
-            address,
-            op,
-            non_mem_instructions,
+            pc: take(self.pc_bits),
+            address: take(self.addr_bits),
+            op: decode_op(take(OP_BITS) as u8)?,
+            non_mem_instructions: take(self.imm_bits) as u32,
         })
+    }
+}
+
+/// The first 16 bytes of `bytes` as a little-endian word, zero-padded when
+/// fewer remain (a window that starts in a block's last 15 bytes).
+fn load_window(bytes: &[u8]) -> u128 {
+    match bytes.first_chunk::<WINDOW_BYTES>() {
+        Some(window) => u128::from_le_bytes(*window),
+        None => {
+            let mut window = [0u8; WINDOW_BYTES];
+            window[..bytes.len()].copy_from_slice(bytes);
+            u128::from_le_bytes(window)
+        }
     }
 }
 
@@ -333,15 +408,18 @@ impl TraceHeader {
 
 /// Incremental encoder: push records, take the finished byte buffer.
 ///
-/// Records accumulate into a 64-byte staging block that is appended to the
-/// output whenever it fills; `finish` flushes the partial tail block and
-/// patches the record count into the header. The writer owns a plain
-/// `Vec<u8>` — callers persist it with one `std::fs::write`.
+/// Records accumulate into a staging block that is appended to the output
+/// whenever it fills; `finish` flushes the partial tail block and patches
+/// the record count into the header. The writer owns a plain `Vec<u8>` —
+/// callers persist it with one `std::fs::write`.
 #[derive(Debug)]
 pub struct TraceWriter {
     layout: TraceLayout,
+    per_block: usize,
     out: Vec<u8>,
-    block: [u8; BLOCK_BYTES],
+    /// The block being filled; only its first [`BLOCK_BYTES`] reach `out`,
+    /// the rest stays zero.
+    block: [u8; STAGING_BYTES],
     in_block: usize,
     records: u64,
 }
@@ -359,6 +437,17 @@ impl TraceWriter {
     /// Panics if `layout` fails validation — layouts are chosen by code,
     /// not parsed from untrusted input.
     pub fn with_layout(layout: TraceLayout, provenance: Provenance) -> Self {
+        Self::with_capacity(layout, provenance, 0)
+    }
+
+    /// A writer whose buffer has room for a whole trace of `records`
+    /// records, so a trace of known length is encoded into one allocation
+    /// that never grows. Room is made for at most [`MAX_RESERVED_RECORDS`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `layout` fails validation.
+    pub(crate) fn with_capacity(layout: TraceLayout, provenance: Provenance, records: u64) -> Self {
         layout.validate().expect("trace layout must be valid");
         let header = TraceHeader {
             version: VERSION,
@@ -366,10 +455,16 @@ impl TraceWriter {
             records: 0,
             provenance,
         };
+        let capacity = layout
+            .encoded_bytes(records.min(MAX_RESERVED_RECORDS))
+            .expect("a capped trace fits in memory");
+        let mut out = Vec::with_capacity(capacity);
+        out.extend_from_slice(&header.to_bytes());
         TraceWriter {
             layout,
-            out: header.to_bytes().to_vec(),
-            block: [0u8; BLOCK_BYTES],
+            per_block: layout.records_per_block(),
+            out,
+            block: [0u8; STAGING_BYTES],
             in_block: 0,
             records: 0,
         }
@@ -385,9 +480,9 @@ impl TraceWriter {
         self.layout.pack(&mut self.block, self.in_block, record)?;
         self.in_block += 1;
         self.records += 1;
-        if self.in_block == self.layout.records_per_block() {
-            self.out.extend_from_slice(&self.block);
-            self.block = [0u8; BLOCK_BYTES];
+        if self.in_block == self.per_block {
+            self.out.extend_from_slice(&self.block[..BLOCK_BYTES]);
+            self.block = [0u8; STAGING_BYTES];
             self.in_block = 0;
         }
         Ok(())
@@ -402,7 +497,7 @@ impl TraceWriter {
     /// and returns the finished buffer.
     pub fn finish(mut self) -> Vec<u8> {
         if self.in_block > 0 {
-            self.out.extend_from_slice(&self.block);
+            self.out.extend_from_slice(&self.block[..BLOCK_BYTES]);
         }
         self.out[12..20].copy_from_slice(&self.records.to_le_bytes());
         self.out
@@ -425,7 +520,7 @@ pub fn encode_records_with_layout(
     layout: TraceLayout,
     provenance: Provenance,
 ) -> Vec<u8> {
-    let mut writer = TraceWriter::with_layout(layout, provenance);
+    let mut writer = TraceWriter::with_capacity(layout, provenance, records.len() as u64);
     for record in records {
         writer.push(record).expect("record must fit the chosen layout");
     }
@@ -490,13 +585,10 @@ fn invalid_ops(block: &[u8], mask: &[u64; BLOCK_BYTES / 8]) -> u64 {
     invalid
 }
 
-/// Decodes the record at `index` of a parsed trace. Shared by the replay
-/// stream and the random-access tests.
-pub(crate) fn decode_at(
-    data: &[u8],
-    layout: &TraceLayout,
-    index: u64,
-) -> Result<TraceRecord, TraceError> {
+/// Decodes the record at `index` of a parsed trace by random access, for
+/// the tests; the replay stream walks a cursor instead.
+#[cfg(test)]
+fn decode_at(data: &[u8], layout: &TraceLayout, index: u64) -> Result<TraceRecord, TraceError> {
     let per_block = layout.records_per_block() as u64;
     let block_start = HEADER_BYTES + (index / per_block) as usize * BLOCK_BYTES;
     let block = &data[block_start..block_start + BLOCK_BYTES];
@@ -575,6 +667,9 @@ mod tests {
         }
     }
 
+    /// A rejected record leaves no trace: it does not count, and the
+    /// finished bytes equal those of a writer that never saw it, on both
+    /// the one-window path and the field-by-field path of a wide layout.
     #[test]
     fn field_overflow_is_rejected_not_truncated() {
         let mut writer = TraceWriter::new(Provenance::default());
@@ -588,6 +683,37 @@ mod tests {
             })
         );
         assert_eq!(writer.records(), 0, "a rejected record must not count");
+
+        let wide = TraceLayout {
+            pc_bits: 64,
+            addr_bits: 64,
+            imm_bits: 20,
+        };
+        for layout in [TraceLayout::DEFAULT, wide] {
+            // Each overflows the instruction count, the field checked last;
+            // the default layout rejects the first two earlier, on pc and
+            // address.
+            let overflows = [
+                TraceRecord::load(u64::MAX, 1, u32::MAX),
+                TraceRecord::store(1, u64::MAX, u32::MAX),
+                TraceRecord::load(1, 1, u32::MAX),
+            ];
+            let valid = sample_records();
+            let mut rejecting = TraceWriter::with_layout(layout, Provenance::default());
+            for (i, record) in valid.iter().enumerate() {
+                let bad = &overflows[i % overflows.len()];
+                assert!(
+                    matches!(rejecting.push(bad), Err(TraceError::FieldOverflow { .. })),
+                    "{layout:?}: {bad:?} must be rejected"
+                );
+                rejecting.push(record).expect("sample records fit");
+            }
+            assert_eq!(
+                rejecting.finish(),
+                encode_records_with_layout(&valid, layout, Provenance::default()),
+                "{layout:?}: rejected records must leave the bytes untouched"
+            );
+        }
     }
 
     #[test]

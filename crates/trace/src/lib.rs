@@ -7,11 +7,12 @@
 //!
 //! **Record/replay** ([`mod@format`], [`recorder`],
 //! [`replay`]): a compact binary per-core trace format that bit-packs
-//! `TraceRecord {pc, address, op, non_mem_instructions}` with the same
-//! `pv_core::packing` word-window codec the PV tables use (the paper's
-//! Fig. 3a idiom) — 14 bytes per record at the default 48/48/2/14-bit
-//! layout, four records per 64-byte block. The header is versioned and
-//! self-describing; readers reject unknown versions. Replaying a recorded
+//! `TraceRecord {pc, address, op, non_mem_instructions}` into cache-block
+//! frames as the PV tables pack their sets (the paper's Fig. 3a idiom),
+//! moving each record as one 128-bit word — 14 bytes per record at the
+//! default 48/48/2/14-bit layout, four records per 64-byte block. The
+//! header is versioned and self-describing; readers reject unknown
+//! versions. Replaying a recorded
 //! run reproduces a bit-identical `RunMetrics` digest, which makes traces
 //! diffable artifacts: capture once, replay against any configuration.
 //!

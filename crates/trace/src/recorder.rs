@@ -20,11 +20,12 @@
 
 use std::sync::{Arc, Mutex};
 
-use crate::format::{Provenance, TraceError, TraceWriter};
+use crate::format::{Provenance, TraceError, TraceLayout, TraceWriter};
 use pv_workloads::{AccessStream, TraceGenerator, TraceRecord, WorkloadParams};
 
 /// Pulls up to `records` records from `stream` and encodes them with the
-/// default layout.
+/// default layout. The buffer is sized for `records` up front (up to a cap),
+/// so recording a fixed-length stream allocates once.
 ///
 /// # Errors
 ///
@@ -35,7 +36,7 @@ pub fn record_stream<S: AccessStream>(
     records: u64,
     provenance: Provenance,
 ) -> Result<Vec<u8>, TraceError> {
-    let mut writer = TraceWriter::new(provenance);
+    let mut writer = TraceWriter::with_capacity(TraceLayout::DEFAULT, provenance, records);
     for _ in 0..records {
         match stream.next_record() {
             Some(record) => writer.push(&record)?,
@@ -143,6 +144,7 @@ impl<S: AccessStream> AccessStream for TeeStream<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::MAX_RESERVED_RECORDS;
     use crate::replay::ReplayStream;
     use pv_workloads::workloads;
 
@@ -176,9 +178,25 @@ mod tests {
     fn record_stream_stops_at_source_exhaustion() {
         let params = workloads::zeus();
         let short = record_generator(&params, 3, 0, 10).expect("records fit");
-        let mut replay = ReplayStream::new(short).expect("valid trace");
-        let bytes = record_stream(&mut replay, 1_000, Provenance::default()).expect("records fit");
-        let rerecorded = ReplayStream::new(bytes).expect("valid trace");
-        assert_eq!(rerecorded.records(), 10, "source ended after 10 records");
+        // Room is made for the request, but never for more than the cap.
+        let cap = TraceLayout::DEFAULT
+            .encoded_bytes(MAX_RESERVED_RECORDS)
+            .expect("the cap fits in memory");
+        for records in [1_000, u64::MAX] {
+            let mut replay = ReplayStream::new(short.clone()).expect("valid trace");
+            let bytes =
+                record_stream(&mut replay, records, Provenance::default()).expect("records fit");
+            assert!(bytes.capacity() <= cap, "{records} records");
+            let rerecorded = ReplayStream::new(bytes).expect("valid trace");
+            assert_eq!(rerecorded.records(), 10, "source ended after 10 records");
+        }
+    }
+
+    #[test]
+    fn a_recorded_trace_is_one_exact_allocation() {
+        for records in [0, 1, 4, 75_000] {
+            let bytes = record_generator(&workloads::qry1(), 1, 0, records).expect("records fit");
+            assert_eq!(bytes.capacity(), bytes.len(), "{records} records");
+        }
     }
 }

@@ -2,16 +2,17 @@
 //!
 //! Decoding is allocation-free after construction: the stream borrows no
 //! intermediate buffers and unpacks each record directly from its 64-byte
-//! block with `pv_core::packing::read_bits` (the same 128-bit window the
-//! encoder used). A field whose first byte is among the block's first 49
-//! is read as one fixed-size `u128` load of the 16 bytes from there; only
-//! fields starting in the last 15 bytes go through a zero-padded copy.
+//! block as one whole-record word — a single 16-byte window load, then
+//! four shifts and masks — mirroring the encoder. Records too wide for one
+//! window (layouts over 121 bits, at slots whose bit shift pushes them past
+//! 128) are read field by field instead. The stream walks the body with a
+//! block-offset and slot cursor, so producing a record costs no division.
 //! The trace is validated up front — bad magic, unknown versions,
 //! malformed layouts, bodies of the wrong length and invalid op codes are
 //! all rejected before the first record is produced — so the hot path
 //! contains no error handling at all.
 
-use crate::format::{check_ops, decode_at, TraceError, TraceHeader};
+use crate::format::{check_ops, TraceError, TraceHeader, BLOCK_BYTES, HEADER_BYTES};
 use pv_workloads::{AccessStream, TraceRecord};
 
 /// Replays the records of an encoded trace, in order, then ends.
@@ -25,6 +26,11 @@ pub struct ReplayStream {
     data: Vec<u8>,
     header: TraceHeader,
     next: u64,
+    /// Byte offset in `data` of the block holding record `next`.
+    block_start: usize,
+    /// Slot of record `next` within its block.
+    slot: usize,
+    per_block: usize,
     label: String,
 }
 
@@ -49,6 +55,9 @@ impl ReplayStream {
             data,
             header,
             next: 0,
+            block_start: HEADER_BYTES,
+            slot: 0,
+            per_block: header.layout.records_per_block(),
             label,
         })
     }
@@ -74,9 +83,18 @@ impl AccessStream for ReplayStream {
         if self.next >= self.header.records {
             return None;
         }
-        let record = decode_at(&self.data, &self.header.layout, self.next)
+        let block = &self.data[self.block_start..self.block_start + BLOCK_BYTES];
+        let record = self
+            .header
+            .layout
+            .unpack(block, self.slot)
             .expect("length and op codes were validated at construction");
         self.next += 1;
+        self.slot += 1;
+        if self.slot == self.per_block {
+            self.slot = 0;
+            self.block_start += BLOCK_BYTES;
+        }
         Some(record)
     }
 

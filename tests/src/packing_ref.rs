@@ -2,7 +2,8 @@
 //! word-level windows, kept as a test oracle.
 //!
 //! The differential tests check that both codecs write byte-identical
-//! blocks and decode them to identical sets, duplicate tags included.
+//! blocks and decode them to identical sets, duplicate tags included; the
+//! trace-format tests build a whole-trace encoder and decoder on it.
 
 use bytes::{Bytes, BytesMut};
 use pv_core::{PvEntry, PvLayout, PvSet};

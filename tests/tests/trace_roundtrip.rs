@@ -3,19 +3,24 @@
 //!
 //! The binary trace format (pv-trace) is a persistence format: bytes
 //! written by one build must decode identically in every later build, or
-//! every recorded artifact silently rots. Three layers of defence:
+//! every recorded artifact silently rots. Four layers of defence:
 //!
 //! 1. property round trips — seeded random records encode→decode
 //!    identically across randomly drawn codec layouts;
-//! 2. a golden trace committed at `tests/data/golden_qry1.pvtrace` — both
+//! 2. a bit-at-a-time oracle (`pv_tests::packing_ref`) — encoding matches
+//!    it byte for byte and decoding matches it on random bodies, across
+//!    layouts on both sides of the codec's one-window limit, so a bug
+//!    mirrored in encoder and decoder cannot pass as a round trip;
+//! 3. a golden trace committed at `tests/data/golden_qry1.pvtrace` — both
 //!    directions are pinned (current encoder reproduces the bytes, current
 //!    decoder reproduces the records), so neither side can drift;
-//! 3. replaying a recorded run must reproduce the live run's
+//! 4. replaying a recorded run must reproduce the live run's
 //!    `RunMetrics::digest()` bit-for-bit in both contention modes — the
 //!    pinned digests below were recorded when the format was introduced.
 
 use pv_mem::ContentionModel;
 use pv_sim::{run_streams, run_workload, PrefetcherKind, SimConfig};
+use pv_tests::packing_ref;
 use pv_trace::{
     encode_records, encode_records_with_layout, record_generator, Provenance, ReplayStream,
     TraceError, TraceHeader, TraceLayout, VERSION,
@@ -127,6 +132,164 @@ fn records_ending_on_the_final_block_byte_round_trip() {
             let decoded: Vec<TraceRecord> =
                 ReplayStream::new(bytes).expect("encoded trace must parse").collect();
             assert_eq!(decoded, records, "{layout:?}, {count} records");
+        }
+    }
+}
+
+/// Layouts the byte oracle checks: the default, narrow and unaligned ones;
+/// records of exactly 121, 122 and 128 bits, at the edge of the codec's
+/// one-window path; 126- and 125-bit records, whose slots' bit shifts send
+/// some of them through the window and others field by field; the widest
+/// 162-bit record; and seeded random draws.
+fn oracle_layouts() -> Vec<TraceLayout> {
+    let layout = |pc_bits, addr_bits, imm_bits| TraceLayout {
+        pc_bits,
+        addr_bits,
+        imm_bits,
+    };
+    let mut layouts = vec![
+        TraceLayout::DEFAULT,
+        layout(1, 1, 1),
+        layout(3, 5, 2),
+        layout(31, 32, 5),
+        layout(48, 48, 23),
+        layout(48, 48, 24),
+        layout(63, 31, 32),
+        layout(64, 48, 14),
+        layout(60, 60, 4),
+        layout(48, 48, 27),
+        layout(64, 64, 32),
+    ];
+    let mut rng = StdRng::seed_from_u64(0x0AC1E);
+    layouts.extend((0..24).map(|_| {
+        layout(
+            rng.gen_range(1..=64),
+            rng.gen_range(1..=64),
+            rng.gen_range(1..=32),
+        )
+    }));
+    layouts
+}
+
+/// Bit offset in a trace of the first bit of record `index`, worked out
+/// from the format's definition rather than the codec's helpers.
+fn oracle_record_bit(layout: TraceLayout, index: usize) -> usize {
+    let record_bits = (layout.pc_bits + layout.addr_bits + 2 + layout.imm_bits) as usize;
+    let per_block = 64 * 8 / record_bits;
+    8 * (32 + index / per_block * 64) + index % per_block * record_bits
+}
+
+/// A trace of `records` records, written one bit at a time with
+/// `packing_ref::write_bits`: the header field by field, then each record's
+/// four fields at the offset the format defines.
+fn oracle_encode(records: &[TraceRecord], layout: TraceLayout, provenance: Provenance) -> Vec<u8> {
+    let record_bits = (layout.pc_bits + layout.addr_bits + 2 + layout.imm_bits) as usize;
+    let blocks = records.len().div_ceil(64 * 8 / record_bits);
+    let mut bytes = vec![0u8; 32 + 64 * blocks];
+    bytes[0..4].copy_from_slice(b"PVTR");
+    bytes[4..6].copy_from_slice(&VERSION.to_le_bytes());
+    bytes[6] = layout.pc_bits as u8;
+    bytes[7] = layout.addr_bits as u8;
+    bytes[8] = layout.imm_bits as u8;
+    bytes[10..12].copy_from_slice(&64u16.to_le_bytes());
+    bytes[12..20].copy_from_slice(&(records.len() as u64).to_le_bytes());
+    bytes[20..24].copy_from_slice(&provenance.core.to_le_bytes());
+    bytes[24..32].copy_from_slice(&provenance.seed.to_le_bytes());
+    for (index, record) in records.iter().enumerate() {
+        let op = match record.op {
+            MemOp::Load => 0,
+            MemOp::Store => 1,
+            MemOp::InstructionFetch => 2,
+        };
+        let mut bit = oracle_record_bit(layout, index);
+        for (value, bits) in [
+            (record.pc, layout.pc_bits),
+            (record.address, layout.addr_bits),
+            (op, 2),
+            (u64::from(record.non_mem_instructions), layout.imm_bits),
+        ] {
+            packing_ref::write_bits(&mut bytes, bit, value, bits);
+            bit += bits as usize;
+        }
+    }
+    bytes
+}
+
+/// Record `index` of a trace, read one bit at a time with
+/// `packing_ref::read_bits`.
+fn oracle_decode(bytes: &[u8], layout: TraceLayout, index: usize) -> TraceRecord {
+    let mut bit = oracle_record_bit(layout, index);
+    let mut take = |bits: u32| {
+        let value = packing_ref::read_bits(bytes, bit, bits);
+        bit += bits as usize;
+        value
+    };
+    TraceRecord {
+        pc: take(layout.pc_bits),
+        address: take(layout.addr_bits),
+        op: match take(2) {
+            0 => MemOp::Load,
+            1 => MemOp::Store,
+            2 => MemOp::InstructionFetch,
+            code => panic!("op code {code} in a trace the decoder accepted"),
+        },
+        non_mem_instructions: take(layout.imm_bits) as u32,
+    }
+}
+
+/// The encoder against a bit-at-a-time oracle, byte for byte: a codec bug
+/// mirrored in the decoder passes every round trip, but not this.
+#[test]
+fn encoding_matches_the_bit_at_a_time_oracle_byte_for_byte() {
+    let mut rng = StdRng::seed_from_u64(0xB17E);
+    let provenance = Provenance {
+        core: 7,
+        seed: 0x5EED_0042,
+    };
+    for layout in oracle_layouts() {
+        layout.validate().expect("oracle layouts are in range");
+        let per_block = layout.records_per_block();
+        for count in [0, 1, per_block, 3 * per_block - 1, 3 * per_block] {
+            let records = random_records(&mut rng, layout, count);
+            assert_eq!(
+                encode_records_with_layout(&records, layout, provenance),
+                oracle_encode(&records, layout, provenance),
+                "{layout:?}, {count} records"
+            );
+        }
+    }
+}
+
+/// The decoder against the bit-at-a-time oracle on bodies of random bits,
+/// so every trailer and every neighbouring field holds ones and zeroes the
+/// decoder must mask off. Only op code 3 is cleared, since it is rejected.
+#[test]
+fn decoding_matches_the_bit_at_a_time_oracle_on_random_bodies() {
+    let mut rng = StdRng::seed_from_u64(0xDEC0DE);
+    for layout in oracle_layouts() {
+        let per_block = layout.records_per_block();
+        for count in [1, per_block, 3 * per_block - 1] {
+            let zeroes = vec![TraceRecord::load(0, 0, 0); count];
+            let mut bytes = oracle_encode(&zeroes, layout, Provenance::default());
+            bytes[32..].fill_with(|| rng.gen::<u64>() as u8);
+            for index in 0..count {
+                let op_bit =
+                    oracle_record_bit(layout, index) + (layout.pc_bits + layout.addr_bits) as usize;
+                if packing_ref::read_bits(&bytes, op_bit, 2) == 3 {
+                    bytes[(op_bit + 1) / 8] &= !(1 << ((op_bit + 1) % 8));
+                }
+            }
+            let decoded: Vec<TraceRecord> = ReplayStream::new(bytes.clone())
+                .expect("a body with valid op codes parses")
+                .collect();
+            assert_eq!(decoded.len(), count, "{layout:?}");
+            for (index, record) in decoded.iter().enumerate() {
+                assert_eq!(
+                    *record,
+                    oracle_decode(&bytes, layout, index),
+                    "{layout:?}, record {index} of {count}"
+                );
+            }
         }
     }
 }
