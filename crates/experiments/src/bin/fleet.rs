@@ -42,6 +42,9 @@ fn main() {
     let mut threads = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
     let mut out_path: Option<String> = None;
     let mut scenarios = false;
+    // Appended after parsing, so a later `--workloads` cannot replace
+    // them: homogeneous workloads first, then mixes, then scenarios.
+    let mut mixes = Vec::new();
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -109,7 +112,7 @@ fn main() {
                 let mix: [pv_workloads::WorkloadId; 4] = parts
                     .try_into()
                     .unwrap_or_else(|_| fail("--mix expects exactly four +-joined workloads"));
-                grid.workloads.push(Workload::Mix(mix));
+                mixes.push(Workload::Mix(mix));
             }
             "--scenarios" => scenarios = true,
             "--throttle" => grid.throttle = true,
@@ -120,6 +123,7 @@ fn main() {
             )),
         }
     }
+    grid.workloads.extend(mixes);
     if scenarios {
         grid.workloads.extend(default_scenarios(scale));
     }

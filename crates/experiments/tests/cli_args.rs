@@ -92,3 +92,27 @@ fn fleet_reports_a_closed_pipe_instead_of_panicking() {
     );
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
+
+/// `--mix` adds to the workload axis whichever side of `--workloads` it
+/// is given on: each order sweeps the named workload and the mix.
+#[test]
+fn fleet_keeps_a_mix_given_before_or_after_workloads() {
+    let mix = ["--mix", "Apache+Apache+Apache+Apache"];
+    let one_point: Vec<&str> = ONE_POINT.split(' ').collect();
+    for args in [
+        [&mix[..], &one_point].concat(),
+        [&one_point, &mix[..]].concat(),
+    ] {
+        let output = run(env!("CARGO_BIN_EXE_fleet"), &args);
+        assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr(&output));
+        let stdout = String::from_utf8_lossy(&output.stdout);
+        let rows: Vec<&str> =
+            stdout.lines().filter(|line| line.contains("\"type\": \"run\"")).collect();
+        assert_eq!(rows.len(), 2, "args {args:?}: {stdout}");
+        assert_eq!(
+            rows.iter().filter(|row| row.contains("mix:")).count(),
+            1,
+            "args {args:?}: {stdout}"
+        );
+    }
+}

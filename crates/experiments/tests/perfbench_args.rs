@@ -65,3 +65,47 @@ fn baseline_without_end_to_end_rows_exits_2_before_measuring() {
     assert!(stderr.contains("no end_to_end rows"), "stderr: {stderr}");
     assert!(!out.exists(), "a rejected baseline must not write a JSON");
 }
+
+/// Gates perfbench against the committed `BENCH_PR9.json` with `from`
+/// replaced by `to` (once), and requires an exit 2 naming `expected`
+/// before anything is measured.
+fn assert_edited_pr9_is_rejected(name: &str, from: &str, to: &str, expected: &str) {
+    let pr9 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
+    let text = std::fs::read_to_string(pr9).expect("read BENCH_PR9.json");
+    assert!(text.contains(from), "BENCH_PR9.json holds {from}");
+    let (out, baseline) = (
+        scratch(&format!("{name}.json")),
+        scratch(&format!("{name}_baseline.json")),
+    );
+    std::fs::write(&baseline, text.replacen(from, to, 1)).expect("write the edited baseline");
+    let (code, stderr) = run_perfbench(&out, &baseline);
+    std::fs::remove_file(&baseline).expect("remove the edited baseline");
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains(expected), "stderr: {stderr}");
+    assert!(!out.exists(), "a rejected baseline must not write a JSON");
+}
+
+/// A zero rate would make its row's ratio `inf` and the geomean `inf`,
+/// which passes the lower bound whatever the other rows measure; a rate
+/// that does not parse must not drop its row, digest included, out of the
+/// gate.
+#[test]
+fn zero_baseline_rate_exits_2_before_measuring() {
+    let from = "\"records_per_sec\": 2598805";
+    for (to, expected) in [("0", "records_per_sec 0"), ("null", "records_per_sec NaN")] {
+        let to = format!("\"records_per_sec\": {to}");
+        assert_edited_pr9_is_rejected("zero_rate", from, &to, expected);
+    }
+}
+
+/// A negative ns/op would make the `access_queued` ratio negative, which
+/// passes the upper bound whatever the micro measures; one that does not
+/// parse must not switch the check off.
+#[test]
+fn negative_baseline_access_queued_exits_2_before_measuring() {
+    let from = "\"ns_per_op\": 823.4";
+    for to in ["-823.4", "null"] {
+        let to = format!("\"ns_per_op\": {to}");
+        assert_edited_pr9_is_rejected("negative_ns", from, &to, "access_queued");
+    }
+}

@@ -30,6 +30,4 @@ pub mod storage;
 
 pub use entry::{MarkovConfig, MarkovEntry, MarkovIndex, INDEX_BITS, PC_INDEX_BITS};
 pub use prefetcher::{MarkovPrefetcher, MarkovResponse, MarkovStats};
-pub use storage::{
-    build_markov_storage, DedicatedMarkov, NextAddrLookup, NextAddrStorage, VirtualizedMarkov,
-};
+pub use storage::{DedicatedMarkov, NextAddrLookup, NextAddrStorage, VirtualizedMarkov};

@@ -41,15 +41,6 @@ impl MarkovStats {
         self.stores += stores;
         self.predictions += predictions;
     }
-
-    /// Lookup hit ratio in `[0, 1]`.
-    pub fn hit_ratio(&self) -> f64 {
-        if self.lookups == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.lookups as f64
-        }
-    }
 }
 
 /// One prefetch the engine wants performed.

@@ -6,7 +6,7 @@
 
 use crate::entry::{MarkovConfig, MarkovEntry, MarkovIndex};
 use pv_core::{PvConfig, PvEntry, PvFront, PvStorageBudget, SharedPvProxy};
-use pv_mem::{Address, MemoryHierarchy, ReplacementKind, SetAssociative};
+use pv_mem::{Address, MemoryHierarchy, SetAssociative};
 
 /// Result of a next-address lookup.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,11 +73,7 @@ impl DedicatedMarkov {
     pub fn new(config: MarkovConfig) -> Self {
         config.assert_valid();
         DedicatedMarkov {
-            table: SetAssociative::new(
-                config.table_sets,
-                config.dedicated_ways,
-                ReplacementKind::Lru,
-            ),
+            table: SetAssociative::new(config.table_sets, config.dedicated_ways),
             config,
         }
     }
@@ -242,18 +238,6 @@ impl NextAddrStorage for VirtualizedMarkov {
 
     fn reset_stats(&mut self) {
         self.front.reset_stats();
-    }
-}
-
-/// Builds the storage variant for `virtualized`: a [`VirtualizedMarkov`]
-/// over `pv` when set, a [`DedicatedMarkov`] otherwise.
-pub fn build_markov_storage(
-    config: MarkovConfig,
-    virtualized: Option<(usize, PvConfig, Address)>,
-) -> Box<dyn NextAddrStorage> {
-    match virtualized {
-        Some((core, pv, base)) => Box::new(VirtualizedMarkov::new(core, pv, base)),
-        None => Box::new(DedicatedMarkov::new(config)),
     }
 }
 

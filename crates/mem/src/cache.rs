@@ -110,7 +110,7 @@ impl Cache {
             config,
             sets,
             set_bits: sets.trailing_zeros(),
-            array: SetAssociative::new(sets, config.ways, config.replacement),
+            array: SetAssociative::new(sets, config.ways),
             stats: CacheStats::default(),
         }
     }
@@ -269,7 +269,6 @@ impl Cache {
 mod tests {
     use super::*;
     use crate::config::CacheConfig;
-    use crate::replacement::ReplacementKind;
 
     fn tiny_cache() -> Cache {
         // 4 sets x 2 ways x 64B = 512B.
@@ -279,7 +278,6 @@ mod tests {
             block_bytes: 64,
             tag_latency: 1,
             data_latency: 2,
-            replacement: ReplacementKind::Lru,
             mshr_entries: 4,
             banks: 1,
             port_occupancy: 1,

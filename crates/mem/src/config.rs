@@ -6,7 +6,6 @@
 //! memory, for a four-core CMP.
 
 use crate::address::{Address, BLOCK_BYTES};
-use crate::replacement::ReplacementKind;
 
 /// How shared memory-system resources are timed.
 ///
@@ -42,8 +41,6 @@ pub struct CacheConfig {
     pub tag_latency: u64,
     /// Data-array access latency in cycles (paid on a hit).
     pub data_latency: u64,
-    /// Replacement policy.
-    pub replacement: ReplacementKind,
     /// Number of outstanding-miss registers.
     pub mshr_entries: usize,
     /// Number of independently-ported tag-pipeline banks. Only the shared L2
@@ -94,7 +91,6 @@ impl CacheConfig {
             block_bytes: BLOCK_BYTES,
             tag_latency: 1,
             data_latency: 2,
-            replacement: ReplacementKind::Lru,
             mshr_entries: 16,
             banks: 1,
             port_occupancy: 1,
@@ -110,7 +106,6 @@ impl CacheConfig {
             block_bytes: BLOCK_BYTES,
             tag_latency: 6,
             data_latency: 12,
-            replacement: ReplacementKind::Lru,
             mshr_entries: 64,
             banks: 8,
             port_occupancy: 2,

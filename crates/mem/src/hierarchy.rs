@@ -112,7 +112,7 @@ impl DataClass {
 /// The hot path used to heap-allocate a `Vec<BlockAddr>` inside every
 /// [`AccessResponse`] / [`PrefetchResponse`]; the buffer replaces that with
 /// a fixed-capacity inline array the caller threads through
-/// [`MemoryHierarchy::access_with_evictions`] and
+/// [`MemoryHierarchy::access_data`] and
 /// [`MemoryHierarchy::prefetch_into_l1d`] — the same reuse discipline as
 /// the simulator's prefetch-action scratch. The hierarchy clears it on
 /// entry and pushes at most one victim per access (a single L1 fill evicts
@@ -311,18 +311,6 @@ impl MemoryHierarchy {
         addr >= self.pv_start && addr < self.pv_end
     }
 
-    /// Classification of `block` by the reserved PV regions. Exposed so the
-    /// perfbench `hierarchy/classify_hoisted` micro can time the hoisted
-    /// bound-compare against the un-hoisted region lookup it replaced.
-    #[inline]
-    pub fn classify(&self, block: BlockAddr) -> DataClass {
-        if self.in_pv_region(block) {
-            DataClass::Predictor
-        } else {
-            DataClass::Application
-        }
-    }
-
     /// Whether `block` is resident in `core`'s L1 data cache.
     pub fn l1d_contains(&self, core: usize, block: BlockAddr) -> bool {
         self.assert_core(core);
@@ -346,9 +334,8 @@ impl MemoryHierarchy {
     /// Debug builds panic if `requester.core` is out of range (release
     /// builds panic on the first indexed access instead).
     ///
-    /// Callers that need the evicted blocks (the simulator's engine feed)
-    /// use [`Self::access_with_evictions`]; this convenience form discards
-    /// them through a throwaway stack scratch, which is free.
+    /// Blocks displaced from an L1 are not reported: callers that need them
+    /// (the simulator's engine feed) use [`Self::access_data`].
     pub fn access(
         &mut self,
         requester: Requester,
@@ -357,32 +344,12 @@ impl MemoryHierarchy {
         class: DataClass,
         now: u64,
     ) -> AccessResponse {
-        let mut scratch = EvictionBuffer::default();
-        self.access_with_evictions(requester, addr, kind, class, now, &mut scratch)
-    }
-
-    /// [`Self::access`] with L1 eviction reporting: `evictions` is cleared
-    /// and receives the blocks displaced from the requesting core's L1 data
-    /// cache (used by SMS to close spatial generations). The buffer is
-    /// caller-owned scratch so the response path never allocates.
-    pub fn access_with_evictions(
-        &mut self,
-        requester: Requester,
-        addr: u64,
-        kind: AccessKind,
-        class: DataClass,
-        now: u64,
-        evictions: &mut EvictionBuffer,
-    ) -> AccessResponse {
-        evictions.clear();
         self.assert_core(requester.core);
         let block = Address::new(addr).block();
         match requester.kind {
-            RequesterKind::Data => {
-                self.l1_path(requester.core, block, kind, class, now, false, evictions)
-            }
+            RequesterKind::Data => self.l1_path(requester.core, block, kind, class, now, false),
             RequesterKind::Instruction => {
-                self.l1_path(requester.core, block, kind, class, now, true, evictions)
+                self.l1_path(requester.core, block, kind, class, now, true)
             }
             RequesterKind::PvProxy | RequesterKind::DataPrefetch => {
                 let below = self.l2_path(block, kind, class, now);
@@ -399,12 +366,15 @@ impl MemoryHierarchy {
 
     /// The core data-access path, shorn of requester classification: a
     /// demand access through `core`'s L1 data cache with the L1-hit case
-    /// handled first. Equivalent to
-    /// `access_with_evictions(Requester::data(core), addr, kind,
-    /// DataClass::Application, now, evictions)` — the simulator's
-    /// per-record hot path calls this so the overwhelmingly common L1 hit
-    /// does a single tag probe and returns without touching the requester
-    /// `match`, the eviction buffer contents, or any classification work.
+    /// handled first. Equivalent to `access(Requester::data(core), addr,
+    /// kind, DataClass::Application, now)`, plus L1 eviction reporting:
+    /// `evictions` is cleared and receives the block displaced from `core`'s
+    /// L1 data cache (used by SMS to close spatial generations). The buffer
+    /// is caller-owned scratch so the response path never allocates. The
+    /// simulator's per-record hot path calls this so the overwhelmingly
+    /// common L1 hit does a single tag probe and returns without touching
+    /// the requester `match`, the eviction buffer contents, or any
+    /// classification work.
     #[inline]
     pub fn access_data(
         &mut self,
@@ -442,8 +412,8 @@ impl MemoryHierarchy {
         )
     }
 
-    /// Demand path through a private L1 (data or instruction).
-    #[allow(clippy::too_many_arguments)]
+    /// Demand path through a private L1 (data or instruction). The block a
+    /// miss displaces is not reported (see [`Self::access`]).
     fn l1_path(
         &mut self,
         core: usize,
@@ -452,7 +422,6 @@ impl MemoryHierarchy {
         class: DataClass,
         now: u64,
         instruction: bool,
-        evictions: &mut EvictionBuffer,
     ) -> AccessResponse {
         let outcome = if instruction {
             self.l1i[core].access(block, kind, now)
@@ -479,7 +448,7 @@ impl MemoryHierarchy {
             now,
             instruction,
             outcome,
-            evictions,
+            &mut EvictionBuffer::default(),
         )
     }
 
@@ -741,7 +710,7 @@ impl MemoryHierarchy {
     /// core does not wait for it; the returned `ready_at` is when the data
     /// becomes usable. `evictions` is cleared and receives the displaced
     /// block, if any (caller-owned scratch, exactly as in
-    /// [`Self::access_with_evictions`]).
+    /// [`Self::access_data`]).
     pub fn prefetch_into_l1d(
         &mut self,
         core: usize,
@@ -814,19 +783,8 @@ impl MemoryHierarchy {
     }
 
     /// The prefetch-accuracy window of `(core, class)` — windowed used vs.
-    /// evicted-unused outcomes of prefetches into `core`'s L1D.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `core` is out of range (debug builds fail the descriptive
-    /// assertion first; release builds fail the indexed access).
-    pub fn prefetch_accuracy(&self, core: usize, class: DataClass) -> &AccuracyWindow {
-        self.assert_core(core);
-        &self.accuracy[core][class.index()]
-    }
-
-    /// Mutable access to a prefetch-accuracy window, used by feedback
-    /// consumers to drain completed epochs
+    /// evicted-unused outcomes of prefetches into `core`'s L1D — for
+    /// feedback consumers to drain completed epochs
     /// ([`AccuracyWindow::pop_completed`]).
     ///
     /// # Panics
@@ -1174,11 +1132,10 @@ mod tests {
         let mut evictions = EvictionBuffer::default();
         for i in 0..=ways {
             let block = BlockAddr::new(3 + i * l1_sets);
-            let _ = h.access_with_evictions(
-                Requester::data(0),
+            let _ = h.access_data(
+                0,
                 block.base_address().raw(),
                 AccessKind::Read,
-                DataClass::Application,
                 i * 1000,
                 &mut evictions,
             );
@@ -1188,37 +1145,39 @@ mod tests {
     }
 
     /// The classification-free data path must behave exactly like the
-    /// general entry point, hit and miss alike.
+    /// general entry point, hit and miss alike: same responses, same
+    /// resident L1 blocks, same statistics.
     #[test]
     fn access_data_fast_path_matches_general_access() {
         let mut a = hierarchy();
         let mut b = hierarchy();
-        let mut ev_a = EvictionBuffer::default();
-        let mut ev_b = EvictionBuffer::default();
+        let mut evictions = EvictionBuffer::default();
         let l1_sets = a.config().l1d.sets() as u64;
+        let block_of = |i: u64| BlockAddr::new((i % 7) * l1_sets + (i % 3));
         for i in 0..64u64 {
             // A mix of fresh misses, re-hits and set-conflict evictions.
-            let block = BlockAddr::new((i % 7) * l1_sets + (i % 3));
+            let block = block_of(i);
             let kind = if i % 5 == 0 {
                 AccessKind::Write
             } else {
                 AccessKind::Read
             };
-            let ra = a.access_with_evictions(
+            let ra = a.access(
                 Requester::data(0),
                 block.base_address().raw(),
                 kind,
                 DataClass::Application,
                 i * 100,
-                &mut ev_a,
             );
-            let rb = b.access_data(0, block.base_address().raw(), kind, i * 100, &mut ev_b);
+            let rb = b.access_data(0, block.base_address().raw(), kind, i * 100, &mut evictions);
             assert_eq!(ra, rb, "response diverged at access {i}");
-            assert_eq!(
-                ev_a.as_slice(),
-                ev_b.as_slice(),
-                "evictions diverged at access {i}"
-            );
+            for j in 0..21u64 {
+                assert_eq!(
+                    a.l1d_contains(0, block_of(j)),
+                    b.l1d_contains(0, block_of(j)),
+                    "L1 residency of block {j} diverged at access {i}"
+                );
+            }
         }
         assert_eq!(a.stats(), b.stats());
     }

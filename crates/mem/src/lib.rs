@@ -2,13 +2,14 @@
 //!
 //! This crate implements the memory-system substrate used by the Predictor
 //! Virtualization (PV) reproduction: physical addresses and cache-block
-//! arithmetic, generic set-associative arrays with pluggable replacement
-//! policies, L1/L2 cache models with write-back/write-allocate semantics,
-//! MSHR files, a DRAM model with reserved PV regions, and a
-//! multi-core [`MemoryHierarchy`] that ties the pieces together and keeps the
-//! per-requester traffic statistics the paper's evaluation reports
-//! (L1 read misses, L2 requests, L2 misses, L2 write-backs, off-chip traffic
-//! split into application vs. predictor data).
+//! arithmetic, generic set-associative arrays with packed LRU replacement
+//! (every cache the paper models is LRU), L1/L2 cache models with
+//! write-back/write-allocate semantics, MSHR files, a DRAM model with
+//! reserved PV regions, and a multi-core [`MemoryHierarchy`] that ties the
+//! pieces together and keeps the per-requester traffic statistics the
+//! paper's evaluation reports (L1 read misses, L2 requests, L2 misses, L2
+//! write-backs, off-chip traffic split into application vs. predictor
+//! data).
 //!
 //! The model is *cycle-approximate*: every access returns the latency it
 //! would have observed (tag/data latencies per level plus DRAM latency on a
@@ -73,6 +74,6 @@ pub use inflight::InflightRing;
 pub use memory::{DramResponse, MainMemory};
 pub use mshr::{MshrEntry, MshrFile, MshrOutcome};
 pub use prefetch::NextLinePrefetcher;
-pub use replacement::{ReplacementKind, ReplacementState};
+pub use replacement::ReplacementState;
 pub use set_assoc::{Occupied, SetAssociative};
 pub use stats::{CacheStats, DelayBreakdown, HierarchyStats, NextLineStats, TrafficBreakdown};

@@ -1,15 +1,16 @@
-//! A generic set-associative array with pluggable replacement.
+//! A generic set-associative array with LRU replacement.
 //!
 //! The same container backs the L1/L2 cache tag arrays, the SMS pattern
-//! history table and the PVCache inside the PVProxy, which keeps the
+//! history table and the Markov correlation table, which keeps the
 //! replacement and eviction behaviour identical everywhere it matters.
 //!
 //! This is the hottest structure in the simulator — every simulated access
 //! walks it — so it is laid out for speed: entries live in one flat `Vec`
 //! indexed by `set * ways + way`, replacement state is the bit-packed
-//! [`ReplacementState`] (one enum for the whole array instead of one boxed
-//! policy object per set), and occupancy is counted incrementally. After
-//! construction no operation allocates.
+//! [`ReplacementState`] (one recency word per set for the whole array
+//! instead of one boxed policy object per set, so at most
+//! [`ReplacementState::MAX_WAYS`] ways), and occupancy is counted
+//! incrementally. After construction no operation allocates.
 //!
 //! A miss scans its set once: a caller that has just missed installs with
 //! [`SetAssociative::fill`], which picks the victim directly instead of
@@ -19,7 +20,7 @@
 //! `pv-tests` crate, and differential tests pin the two to identical
 //! behaviour.
 
-use crate::replacement::{ReplacementKind, ReplacementState};
+use crate::replacement::ReplacementState;
 use std::fmt;
 
 /// One occupied way: the tag stored there and the payload.
@@ -42,7 +43,6 @@ pub struct SetAssociative<T> {
     /// Flat storage, way `w` of set `s` at index `s * ways + w`.
     entries: Vec<Option<Occupied<T>>>,
     replacement: ReplacementState,
-    kind: ReplacementKind,
 }
 
 impl<T: fmt::Debug> fmt::Debug for SetAssociative<T> {
@@ -50,21 +50,21 @@ impl<T: fmt::Debug> fmt::Debug for SetAssociative<T> {
         f.debug_struct("SetAssociative")
             .field("sets", &self.sets)
             .field("ways", &self.ways)
-            .field("replacement", &self.kind)
             .finish()
     }
 }
 
 impl<T> SetAssociative<T> {
-    /// Creates an array with `sets` sets of `ways` ways using `replacement`.
+    /// Creates an LRU array with `sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or if the replacement policy
-    /// rejects the way count (e.g. tree-PLRU with a non-power-of-two).
-    pub fn new(sets: usize, ways: usize, replacement: ReplacementKind) -> Self {
+    /// Panics if `sets` or `ways` is zero, or if `ways` exceeds
+    /// [`ReplacementState::MAX_WAYS`].
+    pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0, "a set-associative array needs at least one set");
         assert!(ways > 0, "a set-associative array needs at least one way");
+        let replacement = ReplacementState::new(sets, ways);
         let mut entries = Vec::new();
         entries.resize_with(sets * ways, || None);
         SetAssociative {
@@ -72,8 +72,7 @@ impl<T> SetAssociative<T> {
             ways,
             occupied: 0,
             entries,
-            replacement: ReplacementState::new(replacement, sets, ways),
-            kind: replacement,
+            replacement,
         }
     }
 
@@ -186,7 +185,7 @@ impl<T> SetAssociative<T> {
         if evicted.is_none() {
             self.occupied += 1;
         }
-        self.replacement.on_fill(set, way);
+        self.replacement.on_access(set, way);
         evicted
     }
 
@@ -202,12 +201,6 @@ impl<T> SetAssociative<T> {
             self.replacement.on_invalidate(set, way);
         }
         removed
-    }
-
-    /// Iterates over all occupied entries of one set.
-    pub fn set_entries(&self, set: usize) -> impl Iterator<Item = &Occupied<T>> {
-        self.assert_set(set);
-        self.set_slice(set).iter().filter_map(|way| way.as_ref())
     }
 
     /// Iterates over every occupied entry as `(set, &Occupied)`.
@@ -234,7 +227,7 @@ mod tests {
     use super::*;
 
     fn small() -> SetAssociative<u32> {
-        SetAssociative::new(4, 2, ReplacementKind::Lru)
+        SetAssociative::new(4, 2)
     }
 
     #[test]
@@ -281,7 +274,7 @@ mod tests {
 
     #[test]
     fn capacity_and_len_track_occupancy() {
-        let mut arr = SetAssociative::new(2, 3, ReplacementKind::Lru);
+        let mut arr = SetAssociative::new(2, 3);
         assert_eq!(arr.capacity(), 6);
         assert!(arr.is_empty());
         for tag in 0..3 {
@@ -294,7 +287,7 @@ mod tests {
 
     #[test]
     fn len_stays_exact_under_churn() {
-        let mut arr = SetAssociative::new(2, 2, ReplacementKind::Lru);
+        let mut arr = SetAssociative::new(2, 2);
         arr.insert(0, 1, 1);
         arr.insert(0, 2, 2);
         arr.insert(0, 3, 3); // evicts, occupancy stays 2
@@ -309,7 +302,7 @@ mod tests {
 
     #[test]
     fn invalidated_way_is_refilled_first() {
-        let mut arr = SetAssociative::new(1, 4, ReplacementKind::Lru);
+        let mut arr = SetAssociative::new(1, 4);
         for tag in 0..4 {
             arr.insert(0, tag, tag as u32);
         }
@@ -321,7 +314,7 @@ mod tests {
 
     #[test]
     fn iter_visits_every_entry_once() {
-        let mut arr = SetAssociative::new(4, 4, ReplacementKind::Lru);
+        let mut arr = SetAssociative::new(4, 4);
         for set in 0..4 {
             for tag in 0..4u64 {
                 arr.insert(set, tag, (set as u32) * 10 + tag as u32);
@@ -349,5 +342,11 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn out_of_range_set_panics() {
         small().peek(10, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 ways")]
+    fn seventeen_ways_are_rejected() {
+        SetAssociative::<u32>::new(4, 17);
     }
 }

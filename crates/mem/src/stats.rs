@@ -295,15 +295,6 @@ impl HierarchyStats {
         total
     }
 
-    /// Aggregate L1 instruction stats over all cores.
-    pub fn l1i_total(&self) -> CacheStats {
-        let mut total = CacheStats::default();
-        for s in &self.l1i {
-            total.accumulate(s);
-        }
-        total
-    }
-
     /// Off-chip traffic in bytes (block reads + block writes).
     pub fn offchip_bytes(&self) -> u64 {
         (self.l2_misses.total() + self.l2_writebacks.total()) * BLOCK_BYTES

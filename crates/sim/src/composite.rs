@@ -166,11 +166,6 @@ impl CompositePrefetcher {
         self.shared.is_some()
     }
 
-    /// The owned shared proxy (shared arrangement only).
-    pub fn shared_proxy(&self) -> Option<&SharedPvProxy> {
-        self.shared.as_ref()
-    }
-
     /// The composed engines' labels, in feed order.
     pub fn labels(&self) -> Vec<&str> {
         self.engines.iter().map(|(label, _)| label.as_str()).collect()

@@ -17,7 +17,7 @@ use crate::config::{PhtGeometry, SmsConfig};
 use crate::index::PhtIndex;
 use crate::pattern::SpatialPattern;
 use pv_core::SharedPvProxy;
-use pv_mem::{MemoryHierarchy, ReplacementKind, SetAssociative};
+use pv_mem::{MemoryHierarchy, SetAssociative};
 use std::collections::HashMap;
 
 /// Result of a PHT lookup.
@@ -101,7 +101,7 @@ impl DedicatedPht {
             PhtGeometry::Finite { sets, ways } => DedicatedPht {
                 geometry,
                 sets,
-                table: SetAssociative::new(sets, ways, ReplacementKind::Lru),
+                table: SetAssociative::new(sets, ways),
                 lookup_latency: config.dedicated_lookup_latency,
             },
             PhtGeometry::Infinite => {

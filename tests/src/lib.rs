@@ -6,7 +6,7 @@
 //! here, outside the shipped crates, and `tests/tests/differential.rs`
 //! drives each pair with the same seeded streams:
 //!
-//! * [`ReferenceSetAssociative`] — a `Vec` of `Vec`s with one boxed
+//! * [`ReferenceSetAssociative`] — a `Vec` of `Vec`s with one boxed LRU
 //!   [`ReplacementPolicy`](replacement::ReplacementPolicy) per set,
 //!   against `pv_mem::SetAssociative`;
 //! * [`packing_ref`] — the bit-at-a-time codec, against

@@ -1,13 +1,13 @@
 //! The pre-flattening set-associative array, kept as a test oracle.
 //!
 //! This is the original formulation of `pv_mem::SetAssociative`: a `Vec`
-//! of `Vec`s of ways with one boxed [`ReplacementPolicy`] per set and a
+//! of `Vec`s of ways with one boxed LRU [`ReplacementPolicy`] per set and a
 //! temporary valid-mask allocated on every insert. The differential tests
 //! drive it and the flat array with the same seeded op streams and assert
 //! identical hits, evictions and victims.
 
-use crate::replacement::{build_policy, ReplacementPolicy};
-use pv_mem::{Occupied, ReplacementKind};
+use crate::replacement::{Lru, ReplacementPolicy};
+use pv_mem::Occupied;
 use std::fmt;
 
 /// The boxed-policy reference set-associative array.
@@ -16,7 +16,6 @@ pub struct ReferenceSetAssociative<T> {
     ways: usize,
     entries: Vec<Vec<Option<Occupied<T>>>>,
     policies: Vec<Box<dyn ReplacementPolicy>>,
-    kind: ReplacementKind,
 }
 
 impl<T: fmt::Debug> fmt::Debug for ReferenceSetAssociative<T> {
@@ -24,29 +23,28 @@ impl<T: fmt::Debug> fmt::Debug for ReferenceSetAssociative<T> {
         f.debug_struct("ReferenceSetAssociative")
             .field("sets", &self.sets)
             .field("ways", &self.ways)
-            .field("replacement", &self.kind)
             .finish()
     }
 }
 
 impl<T> ReferenceSetAssociative<T> {
-    /// Creates an array with `sets` sets of `ways` ways using `replacement`.
+    /// Creates an LRU array with `sets` sets of `ways` ways.
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero, or if the replacement policy
-    /// rejects the way count (e.g. tree-PLRU with a non-power-of-two).
-    pub fn new(sets: usize, ways: usize, replacement: ReplacementKind) -> Self {
+    /// Panics if `sets` or `ways` is zero.
+    pub fn new(sets: usize, ways: usize) -> Self {
         assert!(sets > 0, "a set-associative array needs at least one set");
         assert!(ways > 0, "a set-associative array needs at least one way");
         let entries = (0..sets).map(|_| (0..ways).map(|_| None).collect()).collect();
-        let policies = (0..sets).map(|set| build_policy(replacement, ways, set as u64)).collect();
+        let policies = (0..sets)
+            .map(|_| Box::new(Lru::new(ways)) as Box<dyn ReplacementPolicy>)
+            .collect();
         ReferenceSetAssociative {
             sets,
             ways,
             entries,
             policies,
-            kind: replacement,
         }
     }
 
@@ -158,8 +156,7 @@ mod tests {
 
     #[test]
     fn reference_behaves_like_original() {
-        let mut arr: ReferenceSetAssociative<u32> =
-            ReferenceSetAssociative::new(4, 2, ReplacementKind::Lru);
+        let mut arr: ReferenceSetAssociative<u32> = ReferenceSetAssociative::new(4, 2);
         arr.insert(2, 1, 10);
         arr.insert(2, 2, 20);
         arr.get(2, 1);

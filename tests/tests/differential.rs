@@ -13,32 +13,21 @@
 //! width, shift and block edge.
 
 use pv_core::{decode_set, encode_set, packing, PvLayout, PvSet, RawEntry};
-use pv_mem::{ReplacementKind, SetAssociative};
+use pv_mem::{ReplacementState, SetAssociative};
 use pv_tests::{packing_ref, ReferenceInflightQueue, ReferenceSetAssociative};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// One random geometry per policy constraint: PLRU needs power-of-two ways.
-fn random_geometry(rng: &mut StdRng, kind: ReplacementKind) -> (usize, usize) {
-    let sets = 1usize << rng.gen_range(0u32..=5);
-    let ways = match kind {
-        ReplacementKind::TreePlru => 1usize << rng.gen_range(0u32..=4),
-        _ => rng.gen_range(1usize..=20),
-    };
-    (sets, ways)
-}
 
 /// Drives both arrays with the same op stream (get / insert / invalidate
 /// over a small tag universe so hits, conflicts and invalidations all
 /// occur), asserting identical results after every op. Inserts of an
 /// absent tag go through the flat array's `fill`, so its victim choice is
 /// checked against the reference's `insert` too.
-fn drive_differential(kind: ReplacementKind, seed: u64) {
+fn drive_differential(ways: usize, seed: u64) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let (sets, ways) = random_geometry(&mut rng, kind);
-    let mut flat: SetAssociative<u64> = SetAssociative::new(sets, ways, kind);
-    let mut reference: ReferenceSetAssociative<u64> =
-        ReferenceSetAssociative::new(sets, ways, kind);
+    let sets = 1usize << rng.gen_range(0u32..=5);
+    let mut flat: SetAssociative<u64> = SetAssociative::new(sets, ways);
+    let mut reference: ReferenceSetAssociative<u64> = ReferenceSetAssociative::new(sets, ways);
     let mut fills = 0u32;
     for op in 0..4_000u64 {
         let set = rng.gen_range(0usize..sets);
@@ -49,7 +38,7 @@ fn drive_differential(kind: ReplacementKind, seed: u64) {
                 assert_eq!(
                     flat.get(set, tag),
                     reference.get(set, tag),
-                    "get mismatch at op {op} (kind {kind:?}, {sets}x{ways})"
+                    "get mismatch at op {op} ({sets}x{ways})"
                 );
             }
             4..=7 => {
@@ -63,16 +52,13 @@ fn drive_differential(kind: ReplacementKind, seed: u64) {
                     flat.fill(set, tag, value)
                 };
                 let b = reference.insert(set, tag, value);
-                assert_eq!(
-                    a, b,
-                    "insert eviction mismatch at op {op} (kind {kind:?}, {sets}x{ways})"
-                );
+                assert_eq!(a, b, "insert eviction mismatch at op {op} ({sets}x{ways})");
             }
             _ => {
                 assert_eq!(
                     flat.invalidate(set, tag),
                     reference.invalidate(set, tag),
-                    "invalidate mismatch at op {op} (kind {kind:?}, {sets}x{ways})"
+                    "invalidate mismatch at op {op} ({sets}x{ways})"
                 );
             }
         }
@@ -92,24 +78,14 @@ fn drive_differential(kind: ReplacementKind, seed: u64) {
     );
 }
 
+/// Every way count the packed recency word supports, 1 through 16 (the
+/// full word), for every seed.
 #[test]
 fn flat_set_associative_matches_reference_lru() {
     for seed in 0..24 {
-        drive_differential(ReplacementKind::Lru, 0xD1FF_0000 + seed);
-    }
-}
-
-#[test]
-fn flat_set_associative_matches_reference_tree_plru() {
-    for seed in 0..24 {
-        drive_differential(ReplacementKind::TreePlru, 0xD1FF_1000 + seed);
-    }
-}
-
-#[test]
-fn flat_set_associative_matches_reference_random() {
-    for seed in 0..24 {
-        drive_differential(ReplacementKind::Random, 0xD1FF_2000 + seed);
+        for ways in 1..=ReplacementState::MAX_WAYS {
+            drive_differential(ways, 0xD1FF_0000 + (seed << 8) + ways as u64);
+        }
     }
 }
 
