@@ -27,10 +27,6 @@ pub struct PvConfig {
     /// Lookup latency of the PVCache itself in cycles (it is tiny, so the
     /// paper argues it is faster than a large dedicated table).
     pub pvcache_latency: u64,
-    /// Whether dirty predictor blocks evicted from the L2 are propagated
-    /// off-chip (the paper's default) or dropped at the chip boundary (the
-    /// design option of Section 2.2, evaluated as an ablation).
-    pub propagate_offchip: bool,
 }
 
 impl PvConfig {
@@ -45,7 +41,6 @@ impl PvConfig {
             evict_buffer_entries: 4,
             pattern_buffer_entries: 16,
             pvcache_latency: 1,
-            propagate_offchip: true,
         }
     }
 
@@ -68,13 +63,6 @@ impl PvConfig {
     /// A variant with a different number of PVCache sets.
     pub fn with_pvcache_sets(mut self, sets: usize) -> Self {
         self.pvcache_sets = sets;
-        self
-    }
-
-    /// A variant that drops dirty predictor blocks at the chip boundary
-    /// instead of writing them back to memory (Section 2.2 design option).
-    pub fn without_offchip_propagation(mut self) -> Self {
-        self.propagate_offchip = false;
         self
     }
 
@@ -139,7 +127,6 @@ mod tests {
     #[test]
     fn builder_variants_apply() {
         assert_eq!(PvConfig::pv8().with_pvcache_sets(32).pvcache_sets, 32);
-        assert!(!PvConfig::pv8().without_offchip_propagation().propagate_offchip);
         assert_eq!(PvConfig::pv16().pvcache_sets, 16);
     }
 

@@ -26,8 +26,8 @@
 //!   the paper's SMS instance;
 //! * the [`SharedPvProxy`] is the small on-chip agent between the
 //!   optimization engines and their PVTables: it holds a fully-associative
-//!   [`SharedPvCache`] of a handful of PVTable sets, an MSHR, an evict
-//!   buffer and a pattern buffer; lookups that miss in the PVCache become
+//!   [`SharedPvCache`] of a handful of PVTable sets, an MSHR and a pattern
+//!   buffer; lookups that miss in the PVCache become
 //!   ordinary memory requests injected at the L2 (Figure 3b shows the
 //!   address computation);
 //! * [`PvStorageBudget`] reproduces the Section 4.6 accounting of the
@@ -103,7 +103,7 @@ pub mod stats;
 pub mod storage;
 pub mod table;
 
-pub use buffers::{EvictBuffer, PatternBuffer};
+pub use buffers::PatternBuffer;
 pub use config::PvConfig;
 pub use entry::{PvEntry, PvLayout, RawEntry};
 pub use packing::{decode_set, encode_set};

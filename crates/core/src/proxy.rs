@@ -182,8 +182,7 @@ impl<E: PvEntry> PvFront<E> {
         now: u64,
     ) -> PvLookup<E> {
         let (set_index, tag) = self.split_index(index);
-        let access =
-            pick(&mut self.own, shared).lookup_set(self.table_id, set_index, index, mem, now);
+        let access = pick(&mut self.own, shared).lookup_set(self.table_id, set_index, mem, now);
         // A dropped (pattern buffer full) or unbacked lookup loses the
         // prediction even if the entry exists: the set never came on chip.
         let entry = if access.resident {

@@ -3,9 +3,12 @@
 //!
 //! [`SharedPvProxy`] is the only proxy. It owns one PVCache
 //! ([`SharedPvCache`], whose entries are tagged with a **table id** as well
-//! as a set index), one MSHR, one pattern buffer and one evict buffer, and
-//! funnels every registered table's fills and write-backs through a single
-//! `Requester::pv_proxy(core)` stream, keeping statistics per table:
+//! as a set index), one MSHR and one pattern buffer, and funnels every
+//! registered table's fills and write-backs through a single
+//! `Requester::pv_proxy(core)` stream, keeping statistics per table. Dirty
+//! write-backs go straight to the L2: the evict buffer that would stage
+//! them is counted in the storage budget but not modelled. The one proxy
+//! serves both configurations:
 //!
 //! * a **dedicated** virtualized table is a proxy with one table registered
 //!   (the paper's per-predictor PVProxy);
@@ -42,7 +45,7 @@
 //! move only invalidates cache entries whose backing block address changed
 //! (writing dirty ones back at their *old* address) — data is never copied.
 
-use crate::buffers::{EvictBuffer, PatternBuffer};
+use crate::buffers::PatternBuffer;
 use crate::config::PvConfig;
 use crate::plan::PvRegionPlan;
 use crate::pvcache::{SharedPvCache, SharedPvCacheEntry};
@@ -121,7 +124,6 @@ pub struct SharedPvProxy {
     cache: SharedPvCache,
     mshr: MshrFile,
     pattern_buffer: PatternBuffer,
-    evict_buffer: EvictBuffer,
     tables: Vec<TableBinding>,
     stats: Vec<PvStats>,
     /// Whether sets map to backing blocks bit-reversed (scarce-plan mode,
@@ -140,7 +142,6 @@ impl SharedPvProxy {
             cache: SharedPvCache::new(config.pvcache_sets),
             mshr: MshrFile::new(config.mshr_entries),
             pattern_buffer: PatternBuffer::new(config.pattern_buffer_entries),
-            evict_buffer: EvictBuffer::new(config.evict_buffer_entries),
             tables: Vec::new(),
             stats: Vec::new(),
             interleaved: false,
@@ -364,7 +365,6 @@ impl SharedPvProxy {
             if entry.dirty {
                 outcome.writebacks += 1;
                 self.stats[entry.table].dirty_writebacks += 1;
-                self.evict_buffer.push(entry.set_index, now, now + mem.config().l2.data_latency);
                 mem.writeback(Requester::pv_proxy(self.core), old_address, now);
             }
         }
@@ -428,21 +428,18 @@ impl SharedPvProxy {
         }
         self.stats[evicted.table].dirty_writebacks += 1;
         let address = self.set_address(evicted.table, evicted.set_index);
-        self.evict_buffer
-            .push(evicted.set_index, now, now + mem.config().l2.data_latency);
         mem.writeback(Requester::pv_proxy(self.core), address.raw(), now);
     }
 
-    /// A predictor lookup touching `(table, set_index)` (raw predictor index
-    /// `index`, used to key the pattern buffer). On a shared-cache hit the
-    /// data is available after the PVCache latency (or the in-flight fill);
-    /// on a miss the set is fetched — unless the pattern buffer is full, in
-    /// which case the lookup is dropped (`resident == false`).
+    /// A predictor lookup touching `(table, set_index)`. On a shared-cache
+    /// hit the data is available after the PVCache latency (or the
+    /// in-flight fill); on a miss the set is fetched — unless the pattern
+    /// buffer is full, in which case the lookup is dropped
+    /// (`resident == false`).
     pub fn lookup_set(
         &mut self,
         table: usize,
         set_index: usize,
-        index: u64,
         mem: &mut MemoryHierarchy,
         now: u64,
     ) -> SharedSetAccess {
@@ -474,11 +471,8 @@ impl SharedPvProxy {
         self.stats[table].pvcache_misses += 1;
         // The pattern buffer is a shared structural resource too: a full
         // buffer drops the prediction regardless of which table wanted it.
-        // Keys are disambiguated per table so two tables' indices never
-        // merge into one slot.
         let provisional_done = now + mem.config().l2.tag_latency + mem.config().l2.data_latency;
-        let key = ((table as u64) << 48) | index;
-        if !self.pattern_buffer.try_reserve(key, now, provisional_done) {
+        if !self.pattern_buffer.try_reserve(now, provisional_done) {
             self.stats[table].dropped_lookups += 1;
             return SharedSetAccess {
                 resident: false,
@@ -561,11 +555,11 @@ mod tests {
     #[test]
     fn cold_lookup_fetches_and_later_hits_are_fast() {
         let (mut mem, mut proxy) = setup();
-        let cold = proxy.lookup_set(0, 3, 0x803, &mut mem, 0);
+        let cold = proxy.lookup_set(0, 3, &mut mem, 0);
         assert!(cold.resident);
         assert!(cold.ready_at >= 400, "cold set must come from DRAM");
         assert_eq!(proxy.table_stats(0).memory_requests, 1);
-        let warm = proxy.lookup_set(0, 3, 0x803, &mut mem, cold.ready_at + 10);
+        let warm = proxy.lookup_set(0, 3, &mut mem, cold.ready_at + 10);
         assert_eq!(
             warm.ready_at,
             cold.ready_at + 10 + proxy.config().pvcache_latency
@@ -576,8 +570,8 @@ mod tests {
     #[test]
     fn early_rereference_merges_and_waits_for_the_fill() {
         let (mut mem, mut proxy) = setup();
-        let first = proxy.lookup_set(0, 3, 0x803, &mut mem, 0);
-        let second = proxy.lookup_set(0, 3, 0x803, &mut mem, 1);
+        let first = proxy.lookup_set(0, 3, &mut mem, 0);
+        let second = proxy.lookup_set(0, 3, &mut mem, 1);
         assert_eq!(proxy.table_stats(0).memory_requests, 1);
         assert_eq!(second.ready_at, first.ready_at);
         assert_eq!(proxy.table_stats(0).pending_hits, 1);
@@ -589,18 +583,12 @@ mod tests {
         let capacity = proxy.cache().capacity();
         // Fill the whole cache with table 0's sets...
         for set in 0..capacity {
-            proxy.lookup_set(0, set, set as u64, &mut mem, (set as u64) * 1_000);
+            proxy.lookup_set(0, set, &mut mem, (set as u64) * 1_000);
         }
         assert_eq!(proxy.cache().occupancy_of(0), capacity);
         // ...then stream table 1 through: its fills must displace table 0.
         for set in 0..capacity / 2 {
-            proxy.lookup_set(
-                1,
-                set,
-                set as u64,
-                &mut mem,
-                1_000_000 + (set as u64) * 1_000,
-            );
+            proxy.lookup_set(1, set, &mut mem, 1_000_000 + (set as u64) * 1_000);
         }
         assert_eq!(proxy.cache().occupancy_of(1), capacity / 2);
         assert_eq!(proxy.cache().occupancy_of(0), capacity - capacity / 2);
@@ -618,7 +606,7 @@ mod tests {
         );
         let capacity = proxy.cache().capacity();
         for set in 0..capacity {
-            proxy.lookup_set(0, set, set as u64, &mut mem, 1_000 + (set as u64) * 1_000);
+            proxy.lookup_set(0, set, &mut mem, 1_000 + (set as u64) * 1_000);
         }
         assert_eq!(proxy.table_stats(1).dirty_writebacks, 1);
         assert_eq!(proxy.table_stats(0).dirty_writebacks, 0);
@@ -633,11 +621,11 @@ mod tests {
         // Reserve every slot with distinct sets of table 0 at cycle 0 (all
         // fills still in flight)...
         for set in 0..slots {
-            let access = proxy.lookup_set(0, set, set as u64, &mut mem, 0);
+            let access = proxy.lookup_set(0, set, &mut mem, 0);
             assert!(access.resident);
         }
         // ...now table 1 misses too: the shared buffer is exhausted.
-        let dropped = proxy.lookup_set(1, 0, 0, &mut mem, 0);
+        let dropped = proxy.lookup_set(1, 0, &mut mem, 0);
         assert!(!dropped.resident);
         assert_eq!(proxy.table_stats(1).dropped_lookups, 1);
     }
@@ -645,7 +633,7 @@ mod tests {
     #[test]
     fn drain_writes_back_only_dirty_sets() {
         let (mut mem, mut proxy) = setup();
-        proxy.lookup_set(0, 1, 1, &mut mem, 0);
+        proxy.lookup_set(0, 1, &mut mem, 0);
         let _ = proxy.store_set(1, 2, &mut mem, 10);
         let writes_before = mem.stats().l2_requests.predictor;
         proxy.drain(&mut mem, 1_000);
@@ -658,8 +646,8 @@ mod tests {
     #[test]
     fn merged_stats_sum_over_tables() {
         let (mut mem, mut proxy) = setup();
-        proxy.lookup_set(0, 1, 1, &mut mem, 0);
-        proxy.lookup_set(1, 2, 2, &mut mem, 0);
+        proxy.lookup_set(0, 1, &mut mem, 0);
+        proxy.lookup_set(1, 2, &mut mem, 0);
         let merged = proxy.stats_merged();
         assert_eq!(merged.lookups, 2);
         assert_eq!(merged.memory_requests, 2);
@@ -711,7 +699,7 @@ mod tests {
         // With 512 of 1024 blocks backed, odd sets are unbacked
         // (rev10(odd) >= 512).
         assert!(!proxy.set_backed(0, 1));
-        let access = proxy.lookup_set(0, 1, 1, &mut mem, 0);
+        let access = proxy.lookup_set(0, 1, &mut mem, 0);
         assert!(!access.resident);
         assert_eq!(
             proxy.store_set(0, 1, &mut mem, 0),
@@ -733,7 +721,7 @@ mod tests {
         // Table 0: sets 0, 2, 4 map to blocks 0, 256, 128. Table 1: set 0
         // maps to block 0 and is dirtied.
         for set in [0, 2, 4] {
-            assert!(proxy.lookup_set(0, set, set as u64, &mut mem, 0).resident);
+            assert!(proxy.lookup_set(0, set, &mut mem, 0).resident);
         }
         assert_eq!(
             proxy.store_set(1, 0, &mut mem, 0),
@@ -765,7 +753,7 @@ mod tests {
     fn apply_plan_keeps_every_entry_of_a_table_whose_blocks_did_not_move() {
         let (mut mem, mut proxy, plan) = scarce_setup();
         for set in [0, 4, 8, 12] {
-            assert!(proxy.lookup_set(0, set, set as u64, &mut mem, 0).resident);
+            assert!(proxy.lookup_set(0, set, &mut mem, 0).resident);
         }
         // Growing table 0 keeps its base and every backed block address.
         let moved = plan.replan(&[768 * 64, 256 * 64]);
@@ -788,7 +776,7 @@ mod tests {
     #[should_panic(expected = "before any traffic")]
     fn bind_plan_rejects_a_live_proxy() {
         let (mut mem, mut proxy, plan) = scarce_setup();
-        proxy.lookup_set(0, 0, 0, &mut mem, 0);
+        proxy.lookup_set(0, 0, &mut mem, 0);
         proxy.bind_plan(&plan);
     }
 }

@@ -2,12 +2,13 @@
 //! against a recorded baseline.
 //!
 //! ```text
-//! cargo run --release -p pv-experiments --bin perfbench [out.json] \
+//! cargo run --release -p pv-experiments --bin perfbench -- OUT.json \
 //!     [--check-against BASELINE.json]
 //! ```
 //!
-//! It writes `BENCH_PR10.json` by default (schema `pv-perfbench/3`, see the
-//! README's Performance section): 32 smoke-scale end-to-end rows — every
+//! It writes `OUT.json` (schema `pv-perfbench/3`, see the README's
+//! Performance section), which is required, so no default name can
+//! overwrite a committed report: 32 smoke-scale end-to-end rows — every
 //! [`PrefetcherKind`] on Apache and Qry1, then SMS-PV8 on Qry1 replayed
 //! from recorded traces (`Qry1-replay`) and under Queued contention
 //! (`Qry1-queued`) — each the best of five repetitions with the digest of
@@ -36,6 +37,8 @@ const MIN_THROUGHPUT_RATIO: f64 = 0.75;
 /// exceeds this. Both sides are wall-clock ns, so it is looser than the
 /// geomean bound.
 const MAX_ACCESS_QUEUED_RATIO: f64 = 1.5;
+
+const USAGE: &str = "usage: perfbench OUT.json [--check-against BASELINE.json]";
 
 fn all_kinds() -> Vec<PrefetcherKind> {
     vec![
@@ -419,7 +422,7 @@ fn main() {
             // that would both disable the regression gate and overwrite
             // whatever file the typo names.
             flag if flag.starts_with('-') => {
-                eprintln!("unknown flag '{flag}' (expected [out.json] [--check-against FILE])");
+                eprintln!("unknown flag '{flag}'\n{USAGE}");
                 std::process::exit(2);
             }
             path if out_path.is_none() => out_path = Some(path.to_owned()),
@@ -429,7 +432,10 @@ fn main() {
             }
         }
     }
-    let out_path = out_path.unwrap_or_else(|| "BENCH_PR10.json".to_owned());
+    let Some(out_path) = out_path else {
+        eprintln!("missing the output path\n{USAGE}");
+        std::process::exit(2);
+    };
     // The baseline is read before anything is measured, so a bad one fails
     // at once instead of after the whole run.
     let baseline = match baseline_path.as_deref().map(load_baseline).transpose() {

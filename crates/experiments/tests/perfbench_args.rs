@@ -1,5 +1,6 @@
-//! `perfbench --check-against` reads its baseline before measuring
-//! anything: a baseline it cannot use exits 2 at once and writes no JSON.
+//! perfbench checks its arguments before measuring anything: a missing
+//! output path, or a `--check-against` baseline it cannot use, exits 2 at
+//! once and writes no JSON.
 
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
@@ -15,13 +16,17 @@ fn scratch(name: &str) -> PathBuf {
 }
 
 /// Runs perfbench writing to `out` and gated against `baseline`, and
-/// returns its exit code and stderr. Kills it and fails if it is not done
-/// within [`PROMPT`].
+/// returns its exit code and stderr.
 fn run_perfbench(out: &PathBuf, baseline: &PathBuf) -> (Option<i32>, String) {
-    let mut child = Command::new(env!("CARGO_BIN_EXE_perfbench"))
-        .arg(out)
-        .arg("--check-against")
-        .arg(baseline)
+    let mut command = Command::new(env!("CARGO_BIN_EXE_perfbench"));
+    command.arg(out).arg("--check-against").arg(baseline);
+    run_promptly(command)
+}
+
+/// Runs `command` and returns its exit code and stderr. Kills it and fails
+/// if it is not done within [`PROMPT`].
+fn run_promptly(mut command: Command) -> (Option<i32>, String) {
+    let mut child = command
         .stdout(Stdio::null())
         .stderr(Stdio::piped())
         .spawn()
@@ -30,10 +35,7 @@ fn run_perfbench(out: &PathBuf, baseline: &PathBuf) -> (Option<i32>, String) {
     while child.try_wait().expect("perfbench can be polled").is_none() {
         if start.elapsed() > PROMPT {
             child.kill().expect("perfbench can be killed");
-            panic!(
-                "perfbench did not reject {} within {PROMPT:?}",
-                baseline.display()
-            );
+            panic!("perfbench did not exit within {PROMPT:?}: {command:?}");
         }
         std::thread::sleep(Duration::from_millis(20));
     }
@@ -42,6 +44,24 @@ fn run_perfbench(out: &PathBuf, baseline: &PathBuf) -> (Option<i32>, String) {
         output.status.code(),
         String::from_utf8_lossy(&output.stderr).into_owned(),
     )
+}
+
+/// The output path is required: given only a baseline, perfbench exits 2
+/// with its usage and writes nothing in its working directory, so no
+/// default report name can overwrite a committed file.
+#[test]
+fn missing_output_path_exits_2_before_measuring() {
+    let dir = scratch("no_output");
+    std::fs::create_dir(&dir).expect("create the working directory");
+    let pr9 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_PR9.json");
+    let mut command = Command::new(env!("CARGO_BIN_EXE_perfbench"));
+    command.current_dir(&dir).arg("--check-against").arg(pr9);
+    let (code, stderr) = run_promptly(command);
+    let written = std::fs::read_dir(&dir).expect("list the working directory").count();
+    std::fs::remove_dir(&dir).expect("remove the empty working directory");
+    assert_eq!(code, Some(2), "stderr: {stderr}");
+    assert!(stderr.contains("usage"), "stderr: {stderr}");
+    assert_eq!(written, 0, "perfbench wrote into its working directory");
 }
 
 #[test]

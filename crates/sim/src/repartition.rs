@@ -410,7 +410,7 @@ mod tests {
         let mut set = 0;
         while generated < misses {
             if proxy.set_backed(table, set) {
-                proxy.lookup_set(table, set, set as u64, mem, (set as u64) * 1_000);
+                proxy.lookup_set(table, set, mem, (set as u64) * 1_000);
                 generated += 1;
             }
             set += 1;

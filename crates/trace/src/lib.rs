@@ -5,16 +5,16 @@
 //! from a live synthetic generator, a recorded trace, or a scenario
 //! composition.
 //!
-//! **Record/replay** ([`mod@format`], [`recorder`],
-//! [`replay`]): a compact binary per-core trace format that bit-packs
+//! **Record/replay** ([`mod@format`], [`recorder`], [`replay`]): a compact
+//! binary per-core trace format that packs
 //! `TraceRecord {pc, address, op, non_mem_instructions}` into cache-block
-//! frames as the PV tables pack their sets (the paper's Fig. 3a idiom),
-//! moving each record as one 128-bit word — 14 bytes per record at the
-//! default 48/48/2/14-bit layout, four records per 64-byte block. The
-//! header is versioned and self-describing; readers reject unknown
-//! versions. Replaying a recorded
-//! run reproduces a bit-identical `RunMetrics` digest, which makes traces
-//! diffable artifacts: capture once, replay against any configuration.
+//! frames as the PV tables pack their sets (the paper's Fig. 3a idiom).
+//! Every record has one 48/48/2/14-bit layout, 14 bytes, four to a 64-byte
+//! block, so each moves as one byte copy. The header is versioned and
+//! self-describing; readers reject unknown versions and field widths.
+//! Replaying a recorded run reproduces a bit-identical `RunMetrics` digest,
+//! which makes traces diffable artifacts: capture once, replay against any
+//! configuration.
 //!
 //! **Scenarios** ([`scenario`]): non-stationary streams composed over
 //! `WorkloadParams` — scheduled phase flips, flash-crowd spikes, diurnal
@@ -31,9 +31,9 @@ pub mod replay;
 pub mod scenario;
 
 pub use format::{
-    encode_records, encode_records_with_layout, Provenance, TraceError, TraceHeader, TraceLayout,
-    TraceWriter, BLOCK_BYTES, HEADER_BYTES, MAGIC, VERSION,
+    encode_records, Provenance, TraceError, TraceHeader, TraceWriter, BLOCK_BYTES, HEADER_BYTES,
+    MAGIC, RECORDS_PER_BLOCK, VERSION,
 };
-pub use recorder::{record_generator, record_stream, TeeHandle, TeeStream};
+pub use recorder::{record_generator, record_stream};
 pub use replay::ReplayStream;
 pub use scenario::{antagonist_params, intensify, Scenario, ScheduleStream};

@@ -1,18 +1,14 @@
 //! Streaming decoder that replays a recorded trace as an [`AccessStream`].
 //!
-//! Decoding is allocation-free after construction: the stream borrows no
-//! intermediate buffers and unpacks each record directly from its 64-byte
-//! block as one whole-record word — a single 16-byte window load, then
-//! four shifts and masks — mirroring the encoder. Records too wide for one
-//! window (layouts over 121 bits, at slots whose bit shift pushes them past
-//! 128) are read field by field instead. The stream walks the body with a
-//! block-offset and slot cursor, so producing a record costs no division.
-//! The trace is validated up front — bad magic, unknown versions,
-//! malformed layouts, bodies of the wrong length and invalid op codes are
-//! all rejected before the first record is produced — so the hot path
-//! contains no error handling at all.
+//! The stream owns the trace's bytes as one `Vec<u8>` and decodes each
+//! record from them on demand — one 14-byte copy at the record's offset,
+//! then four shifts and masks, mirroring the encoder — so producing a
+//! record allocates nothing. The trace is validated up front — bad magic,
+//! unknown versions, field widths other than the format's, bodies of the
+//! wrong length and invalid op codes are all rejected before the first
+//! record is produced — so the hot path contains no error handling at all.
 
-use crate::format::{check_ops, TraceError, TraceHeader, BLOCK_BYTES, HEADER_BYTES};
+use crate::format::{check_ops, unpack, TraceError, TraceHeader};
 use pv_workloads::{AccessStream, TraceRecord};
 
 /// Replays the records of an encoded trace, in order, then ends.
@@ -26,11 +22,6 @@ pub struct ReplayStream {
     data: Vec<u8>,
     header: TraceHeader,
     next: u64,
-    /// Byte offset in `data` of the block holding record `next`.
-    block_start: usize,
-    /// Slot of record `next` within its block.
-    slot: usize,
-    per_block: usize,
     label: String,
 }
 
@@ -41,12 +32,12 @@ impl ReplayStream {
     /// # Errors
     ///
     /// Returns the [`TraceError`] from header validation (bad magic,
-    /// unsupported version, malformed layout, or a body whose length is not
-    /// exactly what the record count implies), or [`TraceError::BadOp`] when
-    /// a record's op code names no operation.
+    /// unsupported version, field widths other than the format's, or a
+    /// body whose length is not exactly what the record count implies), or
+    /// [`TraceError::BadOp`] when a record's op code names no operation.
     pub fn new(data: Vec<u8>) -> Result<ReplayStream, TraceError> {
         let header = TraceHeader::parse(&data)?;
-        check_ops(&data, &header.layout, header.records)?;
+        check_ops(&data, header.records)?;
         let label = format!(
             "replay:core{}:seed{:#x}",
             header.provenance.core, header.provenance.seed
@@ -55,9 +46,6 @@ impl ReplayStream {
             data,
             header,
             next: 0,
-            block_start: HEADER_BYTES,
-            slot: 0,
-            per_block: header.layout.records_per_block(),
             label,
         })
     }
@@ -83,18 +71,9 @@ impl AccessStream for ReplayStream {
         if self.next >= self.header.records {
             return None;
         }
-        let block = &self.data[self.block_start..self.block_start + BLOCK_BYTES];
-        let record = self
-            .header
-            .layout
-            .unpack(block, self.slot)
+        let record = unpack(&self.data, self.next)
             .expect("length and op codes were validated at construction");
         self.next += 1;
-        self.slot += 1;
-        if self.slot == self.per_block {
-            self.slot = 0;
-            self.block_start += BLOCK_BYTES;
-        }
         Some(record)
     }
 
@@ -201,8 +180,8 @@ mod tests {
     fn an_invalid_op_code_in_the_body_is_rejected_at_construction() {
         let records: Vec<_> = TraceGenerator::new(&workloads::apache(), 3, 0).take(10).collect();
         let bytes = encode_records(&records, Provenance::default());
-        // Default layout: the op field of slot `s` starts at bit
-        // `112 * s + 96` of its block, which is byte-aligned for slots 0 and 1.
+        // The op field of slot `s` is the two low bits of byte `14 * s + 12`
+        // of its block.
         for (index, byte) in [(0, HEADER_BYTES + 12), (9, HEADER_BYTES + 128 + 26)] {
             let mut corrupt = bytes.clone();
             corrupt[byte] |= 0b11;

@@ -14,8 +14,6 @@
 //! `(scenario, core, seed)` — the digest-pinning discipline extends to
 //! non-stationary runs unchanged.
 
-use crate::format::{Provenance, TraceError};
-use crate::recorder::record_stream;
 use pv_workloads::{AccessStream, TraceGenerator, TraceRecord, WorkloadId, WorkloadParams};
 
 /// A non-stationary workload composition.
@@ -155,32 +153,6 @@ impl Scenario {
     pub fn build_streams(&self, cores: usize, seed: u64) -> Vec<Box<dyn AccessStream>> {
         (0..cores).map(|core| self.stream_for_core(core, cores, seed)).collect()
     }
-
-    /// Records `records` records of this scenario's stream for one core
-    /// into the binary trace format — non-stationary runs are recordable
-    /// and replayable exactly like stationary ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TraceError::FieldOverflow`] if a record does not fit the
-    /// default layout (the synthetic generators never produce one).
-    pub fn record(
-        &self,
-        core: usize,
-        cores: usize,
-        seed: u64,
-        records: u64,
-    ) -> Result<Vec<u8>, TraceError> {
-        let mut stream = self.stream_for_core(core, cores, seed);
-        record_stream(
-            &mut stream,
-            records,
-            Provenance {
-                core: core as u32,
-                seed,
-            },
-        )
-    }
 }
 
 impl std::fmt::Display for Scenario {
@@ -238,11 +210,6 @@ impl ScheduleStream {
     /// Index into the schedule of the phase currently playing.
     pub fn phase(&self) -> usize {
         self.phase
-    }
-
-    /// Total phase instances started so far (including the current one).
-    pub fn instances(&self) -> u64 {
-        self.instance + 1
     }
 
     fn advance_phase(&mut self) {
@@ -359,6 +326,8 @@ pub fn antagonist_params() -> WorkloadParams {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::format::Provenance;
+    use crate::recorder::record_stream;
     use crate::replay::ReplayStream;
     use pv_workloads::workloads;
 
@@ -501,7 +470,9 @@ mod tests {
             spike: 64,
             intensity_pct: 250,
         };
-        let bytes = scenario.record(1, 4, 9, 400).expect("records fit");
+        let mut stream = scenario.stream_for_core(1, 4, 9);
+        let bytes =
+            record_stream(&mut stream, 400, Provenance { core: 1, seed: 9 }).expect("records fit");
         let replay = ReplayStream::new(bytes).expect("valid trace");
         assert_eq!(replay.records(), 400);
         let mut live = scenario.stream_for_core(1, 4, 9);

@@ -6,7 +6,7 @@ use pv_experiments::scenarios::{reconvergence_per_core, throttle_hierarchy};
 use pv_experiments::{HierarchyVariant, RunSpec, Runner, Scale};
 use pv_mem::ContentionModel;
 use pv_sim::{run_streams, PrefetcherKind, SimConfig, System};
-use pv_trace::{record_generator, ReplayStream, Scenario};
+use pv_trace::{record_generator, record_stream, Provenance, ReplayStream, Scenario};
 use pv_workloads::{workloads, AccessStream, WorkloadId};
 
 /// The controlled flip configuration used by the pinned tests: smoke-scale
@@ -41,9 +41,13 @@ fn finite_streams_terminate_a_scenario_run_cleanly() {
     let recorded = 35_000u64;
     let streams: Vec<Box<dyn AccessStream>> = (0..config.cores)
         .map(|core| {
-            let bytes = flip_scenario()
-                .record(core, config.cores, config.seed, recorded)
-                .expect("scenario records fit the default layout");
+            let mut stream = flip_scenario().stream_for_core(core, config.cores, config.seed);
+            let provenance = Provenance {
+                core: core as u32,
+                seed: config.seed,
+            };
+            let bytes = record_stream(&mut stream, recorded, provenance)
+                .expect("scenario records fit the trace format");
             Box::new(ReplayStream::new(bytes).expect("valid trace")) as Box<dyn AccessStream>
         })
         .collect();
@@ -196,9 +200,13 @@ fn recorded_scenario_replays_identically() {
     );
     let replayed_streams: Vec<Box<dyn AccessStream>> = (0..config.cores)
         .map(|core| {
-            let bytes = flip_scenario()
-                .record(core, config.cores, config.seed, per_core)
-                .expect("scenario records fit");
+            let mut stream = flip_scenario().stream_for_core(core, config.cores, config.seed);
+            let provenance = Provenance {
+                core: core as u32,
+                seed: config.seed,
+            };
+            let bytes =
+                record_stream(&mut stream, per_core, provenance).expect("scenario records fit");
             Box::new(ReplayStream::new(bytes).expect("valid trace")) as Box<dyn AccessStream>
         })
         .collect();

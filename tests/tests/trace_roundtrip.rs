@@ -1,16 +1,16 @@
-//! Trace format guards: random-layout round trips, the pinned on-disk
+//! Trace format guards: random round trips, the pinned on-disk
 //! golden trace, version gating, and record→replay digest fidelity.
 //!
 //! The binary trace format (pv-trace) is a persistence format: bytes
 //! written by one build must decode identically in every later build, or
 //! every recorded artifact silently rots. Four layers of defence:
 //!
-//! 1. property round trips — seeded random records encode→decode
-//!    identically across randomly drawn codec layouts;
+//! 1. property round trips — seeded random records that fill every field's
+//!    width encode→decode identically;
 //! 2. a bit-at-a-time oracle (`pv_tests::packing_ref`) — encoding matches
-//!    it byte for byte and decoding matches it on random bodies, across
-//!    layouts on both sides of the codec's one-window limit, so a bug
-//!    mirrored in encoder and decoder cannot pass as a round trip;
+//!    it byte for byte, all-ones fields at every slot included, and
+//!    decoding matches it on random bodies, so a bug mirrored in encoder
+//!    and decoder cannot pass as a round trip;
 //! 3. a golden trace committed at `tests/data/golden_qry1.pvtrace` — both
 //!    directions are pinned (current encoder reproduces the bytes, current
 //!    decoder reproduces the records), so neither side can drift;
@@ -22,8 +22,7 @@ use pv_mem::ContentionModel;
 use pv_sim::{run_streams, run_workload, PrefetcherKind, SimConfig};
 use pv_tests::packing_ref;
 use pv_trace::{
-    encode_records, encode_records_with_layout, record_generator, Provenance, ReplayStream,
-    TraceError, TraceHeader, TraceLayout, VERSION,
+    encode_records, record_generator, Provenance, ReplayStream, TraceError, TraceHeader, VERSION,
 };
 use pv_workloads::{workloads, AccessStream, MemOp, TraceGenerator, TraceRecord};
 use rand::rngs::StdRng;
@@ -61,136 +60,61 @@ fn regenerate_golden_trace() {
     std::fs::write(GOLDEN_PATH, golden_bytes()).expect("write golden trace");
 }
 
-/// `count` seeded records whose fields fill `layout`'s widths.
-fn random_records(rng: &mut StdRng, layout: TraceLayout, count: usize) -> Vec<TraceRecord> {
-    let mask = |bits: u32| {
-        if bits >= 64 {
-            u64::MAX
-        } else {
-            (1u64 << bits) - 1
-        }
-    };
+/// The format's field widths: pc, address, op, instruction count.
+const WIDTHS: [u32; 4] = [48, 48, 2, 14];
+
+/// `count` seeded records whose fields fill the format's widths.
+fn random_records(rng: &mut StdRng, count: usize) -> Vec<TraceRecord> {
+    let mask = |bits: u32| (1u64 << bits) - 1;
     (0..count)
         .map(|_| TraceRecord {
-            pc: rng.gen::<u64>() & mask(layout.pc_bits),
-            address: rng.gen::<u64>() & mask(layout.addr_bits),
+            pc: rng.gen::<u64>() & mask(WIDTHS[0]),
+            address: rng.gen::<u64>() & mask(WIDTHS[1]),
             op: match rng.gen_range(0..3u32) {
                 0 => MemOp::Load,
                 1 => MemOp::Store,
                 _ => MemOp::InstructionFetch,
             },
-            non_mem_instructions: (rng.gen::<u64>() & mask(layout.imm_bits)) as u32,
+            non_mem_instructions: (rng.gen::<u64>() & mask(WIDTHS[3])) as u32,
         })
         .collect()
 }
 
 #[test]
-fn random_records_round_trip_across_random_layouts() {
+fn random_records_round_trip() {
     let mut rng = StdRng::seed_from_u64(0xC0DEC);
     for trial in 0..40 {
-        let layout = TraceLayout {
-            pc_bits: rng.gen_range(1..=64),
-            addr_bits: rng.gen_range(1..=64),
-            imm_bits: rng.gen_range(1..=32),
-        };
-        layout.validate().expect("drawn layouts are in range");
         let count = rng.gen_range(1..200usize);
-        let records = random_records(&mut rng, layout, count);
-        let bytes = encode_records_with_layout(&records, layout, Provenance::default());
-        let replay = ReplayStream::new(bytes).expect("encoded trace must parse");
-        assert_eq!(replay.header().layout, layout);
-        let decoded: Vec<TraceRecord> = replay.collect();
+        let records = random_records(&mut rng, count);
+        let bytes = encode_records(&records, Provenance::default());
+        let decoded: Vec<TraceRecord> =
+            ReplayStream::new(bytes).expect("encoded trace must parse").collect();
         assert_eq!(
             decoded, records,
-            "trial {trial}: layout {layout:?} must round-trip"
+            "trial {trial}: {count} records must round-trip"
         );
     }
-}
-
-/// Layouts whose records tile a 64-byte block exactly, so the last record
-/// of every block ends on its final byte and its fields are read through
-/// the decoder's near-end-of-block window, full and partial final blocks.
-#[test]
-fn records_ending_on_the_final_block_byte_round_trip() {
-    let mut rng = StdRng::seed_from_u64(0xC0DEC + 1);
-    for (pc_bits, addr_bits, imm_bits) in [(63, 31, 32), (64, 30, 32), (20, 30, 12), (2, 2, 2)] {
-        let layout = TraceLayout {
-            pc_bits,
-            addr_bits,
-            imm_bits,
-        };
-        layout.validate().expect("layout is in range");
-        let per_block = layout.records_per_block();
-        assert_eq!(
-            per_block * layout.record_bits() as usize,
-            64 * 8,
-            "{layout:?} tiles"
-        );
-        for count in [per_block, 3 * per_block, 3 * per_block - 1] {
-            let records = random_records(&mut rng, layout, count);
-            let bytes = encode_records_with_layout(&records, layout, Provenance::default());
-            let decoded: Vec<TraceRecord> =
-                ReplayStream::new(bytes).expect("encoded trace must parse").collect();
-            assert_eq!(decoded, records, "{layout:?}, {count} records");
-        }
-    }
-}
-
-/// Layouts the byte oracle checks: the default, narrow and unaligned ones;
-/// records of exactly 121, 122 and 128 bits, at the edge of the codec's
-/// one-window path; 126- and 125-bit records, whose slots' bit shifts send
-/// some of them through the window and others field by field; the widest
-/// 162-bit record; and seeded random draws.
-fn oracle_layouts() -> Vec<TraceLayout> {
-    let layout = |pc_bits, addr_bits, imm_bits| TraceLayout {
-        pc_bits,
-        addr_bits,
-        imm_bits,
-    };
-    let mut layouts = vec![
-        TraceLayout::DEFAULT,
-        layout(1, 1, 1),
-        layout(3, 5, 2),
-        layout(31, 32, 5),
-        layout(48, 48, 23),
-        layout(48, 48, 24),
-        layout(63, 31, 32),
-        layout(64, 48, 14),
-        layout(60, 60, 4),
-        layout(48, 48, 27),
-        layout(64, 64, 32),
-    ];
-    let mut rng = StdRng::seed_from_u64(0x0AC1E);
-    layouts.extend((0..24).map(|_| {
-        layout(
-            rng.gen_range(1..=64),
-            rng.gen_range(1..=64),
-            rng.gen_range(1..=32),
-        )
-    }));
-    layouts
 }
 
 /// Bit offset in a trace of the first bit of record `index`, worked out
 /// from the format's definition rather than the codec's helpers.
-fn oracle_record_bit(layout: TraceLayout, index: usize) -> usize {
-    let record_bits = (layout.pc_bits + layout.addr_bits + 2 + layout.imm_bits) as usize;
-    let per_block = 64 * 8 / record_bits;
-    8 * (32 + index / per_block * 64) + index % per_block * record_bits
+fn oracle_record_bit(index: usize) -> usize {
+    let record_bits: u32 = WIDTHS.iter().sum();
+    let per_block = 64 * 8 / record_bits as usize;
+    8 * (32 + index / per_block * 64) + index % per_block * record_bits as usize
 }
 
 /// A trace of `records` records, written one bit at a time with
 /// `packing_ref::write_bits`: the header field by field, then each record's
 /// four fields at the offset the format defines.
-fn oracle_encode(records: &[TraceRecord], layout: TraceLayout, provenance: Provenance) -> Vec<u8> {
-    let record_bits = (layout.pc_bits + layout.addr_bits + 2 + layout.imm_bits) as usize;
-    let blocks = records.len().div_ceil(64 * 8 / record_bits);
+fn oracle_encode(records: &[TraceRecord], provenance: Provenance) -> Vec<u8> {
+    let blocks = records.len().div_ceil(4);
     let mut bytes = vec![0u8; 32 + 64 * blocks];
     bytes[0..4].copy_from_slice(b"PVTR");
     bytes[4..6].copy_from_slice(&VERSION.to_le_bytes());
-    bytes[6] = layout.pc_bits as u8;
-    bytes[7] = layout.addr_bits as u8;
-    bytes[8] = layout.imm_bits as u8;
+    bytes[6] = WIDTHS[0] as u8;
+    bytes[7] = WIDTHS[1] as u8;
+    bytes[8] = WIDTHS[3] as u8;
     bytes[10..12].copy_from_slice(&64u16.to_le_bytes());
     bytes[12..20].copy_from_slice(&(records.len() as u64).to_le_bytes());
     bytes[20..24].copy_from_slice(&provenance.core.to_le_bytes());
@@ -201,13 +125,14 @@ fn oracle_encode(records: &[TraceRecord], layout: TraceLayout, provenance: Prove
             MemOp::Store => 1,
             MemOp::InstructionFetch => 2,
         };
-        let mut bit = oracle_record_bit(layout, index);
-        for (value, bits) in [
-            (record.pc, layout.pc_bits),
-            (record.address, layout.addr_bits),
-            (op, 2),
-            (u64::from(record.non_mem_instructions), layout.imm_bits),
-        ] {
+        let mut bit = oracle_record_bit(index);
+        let values = [
+            record.pc,
+            record.address,
+            op,
+            u64::from(record.non_mem_instructions),
+        ];
+        for (value, bits) in values.into_iter().zip(WIDTHS) {
             packing_ref::write_bits(&mut bytes, bit, value, bits);
             bit += bits as usize;
         }
@@ -217,28 +142,30 @@ fn oracle_encode(records: &[TraceRecord], layout: TraceLayout, provenance: Prove
 
 /// Record `index` of a trace, read one bit at a time with
 /// `packing_ref::read_bits`.
-fn oracle_decode(bytes: &[u8], layout: TraceLayout, index: usize) -> TraceRecord {
-    let mut bit = oracle_record_bit(layout, index);
-    let mut take = |bits: u32| {
+fn oracle_decode(bytes: &[u8], index: usize) -> TraceRecord {
+    let mut bit = oracle_record_bit(index);
+    let [pc, address, op, count] = WIDTHS.map(|bits| {
         let value = packing_ref::read_bits(bytes, bit, bits);
         bit += bits as usize;
         value
-    };
+    });
     TraceRecord {
-        pc: take(layout.pc_bits),
-        address: take(layout.addr_bits),
-        op: match take(2) {
+        pc,
+        address,
+        op: match op {
             0 => MemOp::Load,
             1 => MemOp::Store,
             2 => MemOp::InstructionFetch,
             code => panic!("op code {code} in a trace the decoder accepted"),
         },
-        non_mem_instructions: take(layout.imm_bits) as u32,
+        non_mem_instructions: count as u32,
     }
 }
 
 /// The encoder against a bit-at-a-time oracle, byte for byte: a codec bug
-/// mirrored in the decoder passes every round trip, but not this.
+/// mirrored in the decoder passes every round trip, but not this. Besides
+/// random records, every slot of full and partial blocks carries a record
+/// whose pc, address and count fields are all ones, beside each op.
 #[test]
 fn encoding_matches_the_bit_at_a_time_oracle_byte_for_byte() {
     let mut rng = StdRng::seed_from_u64(0xB17E);
@@ -246,17 +173,28 @@ fn encoding_matches_the_bit_at_a_time_oracle_byte_for_byte() {
         core: 7,
         seed: 0x5EED_0042,
     };
-    for layout in oracle_layouts() {
-        layout.validate().expect("oracle layouts are in range");
-        let per_block = layout.records_per_block();
-        for count in [0, 1, per_block, 3 * per_block - 1, 3 * per_block] {
-            let records = random_records(&mut rng, layout, count);
-            assert_eq!(
-                encode_records_with_layout(&records, layout, provenance),
-                oracle_encode(&records, layout, provenance),
-                "{layout:?}, {count} records"
-            );
-        }
+    for count in [0, 1, 4, 11, 12, 199] {
+        let records = random_records(&mut rng, count);
+        assert_eq!(
+            encode_records(&records, provenance),
+            oracle_encode(&records, provenance),
+            "{count} random records"
+        );
+    }
+    let ones = |op| TraceRecord {
+        pc: (1 << 48) - 1,
+        address: (1 << 48) - 1,
+        op,
+        non_mem_instructions: (1 << 14) - 1,
+    };
+    let ops = [MemOp::Load, MemOp::Store, MemOp::InstructionFetch];
+    for count in [4, 9, 12] {
+        let records: Vec<_> = (0..count).map(|i| ones(ops[i % 3])).collect();
+        assert_eq!(
+            encode_records(&records, provenance),
+            oracle_encode(&records, provenance),
+            "{count} all-ones records"
+        );
     }
 }
 
@@ -266,30 +204,26 @@ fn encoding_matches_the_bit_at_a_time_oracle_byte_for_byte() {
 #[test]
 fn decoding_matches_the_bit_at_a_time_oracle_on_random_bodies() {
     let mut rng = StdRng::seed_from_u64(0xDEC0DE);
-    for layout in oracle_layouts() {
-        let per_block = layout.records_per_block();
-        for count in [1, per_block, 3 * per_block - 1] {
-            let zeroes = vec![TraceRecord::load(0, 0, 0); count];
-            let mut bytes = oracle_encode(&zeroes, layout, Provenance::default());
-            bytes[32..].fill_with(|| rng.gen::<u64>() as u8);
-            for index in 0..count {
-                let op_bit =
-                    oracle_record_bit(layout, index) + (layout.pc_bits + layout.addr_bits) as usize;
-                if packing_ref::read_bits(&bytes, op_bit, 2) == 3 {
-                    bytes[(op_bit + 1) / 8] &= !(1 << ((op_bit + 1) % 8));
-                }
+    for count in [1, 4, 11, 12, 199] {
+        let zeroes = vec![TraceRecord::load(0, 0, 0); count];
+        let mut bytes = oracle_encode(&zeroes, Provenance::default());
+        bytes[32..].fill_with(|| rng.gen::<u64>() as u8);
+        for index in 0..count {
+            let op_bit = oracle_record_bit(index) + (WIDTHS[0] + WIDTHS[1]) as usize;
+            if packing_ref::read_bits(&bytes, op_bit, 2) == 3 {
+                bytes[(op_bit + 1) / 8] &= !(1 << ((op_bit + 1) % 8));
             }
-            let decoded: Vec<TraceRecord> = ReplayStream::new(bytes.clone())
-                .expect("a body with valid op codes parses")
-                .collect();
-            assert_eq!(decoded.len(), count, "{layout:?}");
-            for (index, record) in decoded.iter().enumerate() {
-                assert_eq!(
-                    *record,
-                    oracle_decode(&bytes, layout, index),
-                    "{layout:?}, record {index} of {count}"
-                );
-            }
+        }
+        let decoded: Vec<TraceRecord> = ReplayStream::new(bytes.clone())
+            .expect("a body with valid op codes parses")
+            .collect();
+        assert_eq!(decoded.len(), count);
+        for (index, record) in decoded.iter().enumerate() {
+            assert_eq!(
+                *record,
+                oracle_decode(&bytes, index),
+                "record {index} of {count}"
+            );
         }
     }
 }
@@ -311,10 +245,10 @@ fn golden_trace_bytes_are_pinned() {
 #[test]
 fn golden_trace_decodes_to_the_generator_stream() {
     let on_disk = std::fs::read(GOLDEN_PATH).expect("golden trace present");
+    assert_eq!(on_disk[6..9], [48, 48, 14], "field widths");
     let replay = ReplayStream::new(on_disk).expect("golden trace parses");
     let header = *replay.header();
     assert_eq!(header.version, VERSION);
-    assert_eq!(header.layout, TraceLayout::DEFAULT);
     assert_eq!(header.records, GOLDEN_RECORDS as u64);
     assert_eq!(header.provenance.seed, GOLDEN_SEED);
     let decoded: Vec<TraceRecord> = replay.collect();
@@ -372,7 +306,7 @@ fn record_then_replay(contention: ContentionModel) -> (String, String) {
     let streams: Vec<Box<dyn AccessStream>> = (0..config.cores)
         .map(|core| {
             let bytes = record_generator(&workload, config.seed, core as u32, per_core)
-                .expect("generated records fit the default layout");
+                .expect("generated records fit the trace format");
             Box::new(ReplayStream::new(bytes).expect("recorded trace parses"))
                 as Box<dyn AccessStream>
         })
