@@ -4,30 +4,35 @@
 //! lives in an indexed table can have that table emulated in the memory
 //! hierarchy (paper Sections 2 and 3). The substrate does not know what a
 //! "spatial pattern" or a "next address" is — it only needs each table entry
-//! to expose a tag and a payload of fixed bit-widths so sets of entries can
-//! be packed into memory blocks (the Figure 3a layout, generalised).
+//! to expose a tag and a payload of fixed bit-widths.
 //!
 //! A predictor plugs in by implementing [`PvEntry`] for its entry type; the
-//! packed layout ([`PvLayout`]) — bits per entry, entries per block, unused
-//! trailer — is then *derived* from the entry's widths instead of being
-//! hard-coded to the paper's 11 × 43-bit SMS instance.
+//! Figure 3a layout of one set in one memory block ([`PvLayout`]) — bits
+//! per entry, entries per block, unused trailer — is then *derived* from
+//! the entry's widths instead of being hard-coded to the paper's
+//! 11 × 43-bit SMS instance. The simulator keeps each set's entries in
+//! structured form; the layout fixes how many of them a set holds and how
+//! much on-chip storage the proxy needs.
 
 /// One entry of a virtualized predictor table.
 ///
 /// The tag disambiguates table indices that map to the same set; the payload
 /// is the predictor's actual metadata (a spatial pattern, a target address,
-/// a confidence counter, ...). Both are exposed as raw bit-fields so the
-/// packing codec can lay entries out back to back in a memory block.
+/// a confidence counter, ...). Both are exposed as raw bit-fields of fixed
+/// widths, which is what sizes the entry in a packed memory block.
 ///
-/// # Encoding contract
+/// # Width and invalid-marker rules
 ///
 /// * `tag()` must fit in [`PvEntry::TAG_BITS`] bits and `payload()` in
 ///   [`PvEntry::PAYLOAD_BITS`] bits.
-/// * The all-zero payload is reserved as the *invalid marker* for empty
-///   packed slots: `from_parts(tag, 0)` must return `None`, and a valid
-///   entry must never encode to payload `0` (bias the encoding if the
+/// * The all-zero payload is reserved as the *invalid marker* of an empty
+///   slot: a valid entry never has payload `0` (bias the encoding if the
 ///   natural payload can be zero).
-/// * `from_parts(entry.tag(), entry.payload())` must reconstruct `entry`.
+///
+/// The invalid marker is why Figure 3a's packed entries carry no valid
+/// bit: an entry is exactly `TAG_BITS + PAYLOAD_BITS` wide, so
+/// [`PvLayout::entries_per_block`] divides the block by that width alone.
+/// [`crate::PvFront::store`] enforces both rules on every store.
 pub trait PvEntry: Clone + PartialEq + Eq + std::fmt::Debug {
     /// Number of tag bits stored per packed entry.
     const TAG_BITS: u32;
@@ -39,10 +44,6 @@ pub trait PvEntry: Clone + PartialEq + Eq + std::fmt::Debug {
 
     /// The payload bits of this entry (never zero for a valid entry).
     fn payload(&self) -> u64;
-
-    /// Reconstructs an entry from its packed fields; `None` when `payload`
-    /// is the invalid marker.
-    fn from_parts(tag: u64, payload: u64) -> Option<Self>;
 
     /// Total bits per packed entry.
     fn entry_bits() -> u32 {
@@ -176,9 +177,28 @@ impl PvEntry for RawEntry {
     fn payload(&self) -> u64 {
         self.payload
     }
+}
 
-    fn from_parts(tag: u64, payload: u64) -> Option<Self> {
-        (payload != 0).then_some(RawEntry { tag, payload })
+/// An SMS-shaped test entry: an 11-bit tag and a 32-bit payload, held in
+/// full words so a test can hand a table fields too wide for them.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct NarrowEntry {
+    pub(crate) tag: u64,
+    pub(crate) payload: u64,
+}
+
+#[cfg(test)]
+impl PvEntry for NarrowEntry {
+    const TAG_BITS: u32 = 11;
+    const PAYLOAD_BITS: u32 = 32;
+
+    fn tag(&self) -> u64 {
+        self.tag
+    }
+
+    fn payload(&self) -> u64 {
+        self.payload
     }
 }
 
@@ -204,16 +224,6 @@ mod tests {
         assert_eq!(layout.unused_trailing_bits(), 32);
         // Wide entries pack fewer.
         assert_eq!(PvLayout::new(16, 48, 64).entries_per_block(), 8);
-    }
-
-    #[test]
-    fn raw_entry_round_trips_through_parts() {
-        let entry = RawEntry::new(0x2A, 0xDEAD_BEEF);
-        assert_eq!(
-            RawEntry::from_parts(entry.tag(), entry.payload()),
-            Some(entry)
-        );
-        assert_eq!(RawEntry::from_parts(7, 0), None);
     }
 
     #[test]

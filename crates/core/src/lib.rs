@@ -7,29 +7,30 @@
 //!
 //! The crate is a **predictor-agnostic substrate**: it has no knowledge of
 //! any particular predictor. A predictor plugs in by implementing
-//! [`PvEntry`] for its table-entry type (tag/payload bit-widths plus a
-//! packed encoding); everything else — the in-memory [`PvTable`], the
-//! bit-level [`packing`] codec, the typed [`PvFront`] an engine talks to,
-//! and the Section 4.6 [`PvStorageBudget`] — is generic over that entry
-//! type, with the per-block associativity and storage figures *derived*
-//! from the entry's widths ([`PvLayout`]). The SMS prefetcher of the
-//! paper's case study lives in `pv-sms` and depends on this crate, not the
-//! other way around; a second backend (a PC-indexed next-address
+//! [`PvEntry`] for its table-entry type (tag and payload bit-widths);
+//! everything else — the typed [`PvFront`] an engine talks to, the proxy
+//! behind it and the Section 4.6 [`PvStorageBudget`] — is generic over that
+//! entry type, with the per-block associativity and storage figures
+//! *derived* from the entry's widths ([`PvLayout`]). The SMS prefetcher of
+//! the paper's case study lives in `pv-sms` and depends on this crate, not
+//! the other way around; a second backend (a PC-indexed next-address
 //! prefetcher) lives in `pv-markov`.
 //!
 //! The architecture follows Section 2 of the paper:
 //!
-//! * the [`PvTable`] is the full predictor table, laid out in a reserved
-//!   region of physical memory whose base lives in the per-core
-//!   [`PvStartRegister`]; one predictor set is packed into each memory block
-//!   ([`packing`], Figure 3a) — eleven 43-bit entries per 64-byte block for
-//!   the paper's SMS instance;
+//! * a virtualized table is laid out in a reserved region of physical
+//!   memory, one predictor set per memory block; [`PvLayout`] gives the
+//!   Figure 3a geometry of a set — eleven 43-bit entries per 64-byte block
+//!   for the paper's SMS instance — and each [`PvFront`] holds the table's
+//!   contents as one [`PvSet`] per table set;
 //! * the [`SharedPvProxy`] is the small on-chip agent between the
-//!   optimization engines and their PVTables: it holds a fully-associative
-//!   [`SharedPvCache`] of a handful of PVTable sets, an MSHR and a pattern
-//!   buffer; lookups that miss in the PVCache become
-//!   ordinary memory requests injected at the L2 (Figure 3b shows the
-//!   address computation);
+//!   optimization engines and their tables: it holds a fully-associative
+//!   [`SharedPvCache`] of a handful of table sets, an MSHR and a pattern
+//!   buffer; lookups that miss in the PVCache become ordinary memory
+//!   requests injected at the L2, to the address
+//!   [`SharedPvProxy::set_address`] computes (Figure 3b's
+//!   `PVStart + set × block`, with each table's `PVStart` the base it was
+//!   registered at);
 //! * [`PvStorageBudget`] reproduces the Section 4.6 accounting of the
 //!   on-chip storage the proxy needs (889 bytes for the paper's SMS
 //!   configuration, versus ~59 KB for the dedicated table it replaces).
@@ -65,9 +66,6 @@
 //!     fn tag(&self) -> u64 { u64::from(self.tag) }
 //!     // Bias by one so a valid payload is never the all-zero marker.
 //!     fn payload(&self) -> u64 { u64::from(self.target) + 1 }
-//!     fn from_parts(tag: u64, payload: u64) -> Option<Self> {
-//!         (payload != 0).then(|| TargetEntry { tag: tag as u16, target: (payload - 1) as u32 })
-//!     }
 //! }
 //!
 //! let hierarchy_config = HierarchyConfig::paper_baseline(4);
@@ -93,11 +91,9 @@
 pub mod buffers;
 pub mod config;
 pub mod entry;
-pub mod packing;
 pub mod plan;
 pub mod proxy;
 pub mod pvcache;
-pub mod register;
 pub mod shared;
 pub mod stats;
 pub mod storage;
@@ -106,12 +102,10 @@ pub mod table;
 pub use buffers::PatternBuffer;
 pub use config::PvConfig;
 pub use entry::{PvEntry, PvLayout, RawEntry};
-pub use packing::{decode_set, encode_set};
 pub use plan::PvRegionPlan;
 pub use proxy::{PvFront, PvLookup};
 pub use pvcache::{SharedPvCache, SharedPvCacheEntry};
-pub use register::PvStartRegister;
 pub use shared::{ReplanOutcome, SharedPvProxy, SharedSetAccess, SharedStoreOutcome};
 pub use stats::PvStats;
 pub use storage::PvStorageBudget;
-pub use table::{PvSet, PvTable};
+pub use table::PvSet;

@@ -105,8 +105,8 @@ impl PvRegionPlan {
         self.table_bytes.iter().sum()
     }
 
-    /// Base physical address of `table`'s sub-region on `core` — the value
-    /// loaded into that table's `PVStart` register.
+    /// Base physical address of `table`'s sub-region on `core` — the
+    /// table's `PVStart`, the base its proxy computes set addresses from.
     ///
     /// # Panics
     ///

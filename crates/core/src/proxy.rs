@@ -2,11 +2,13 @@
 //! optimization engine sees (paper Sections 2.2 and 3.2.2).
 //!
 //! A [`PvFront`] is one virtualized table as its predictor sees it: the
-//! table's contents (a [`PvTable`] of `E` entries), its id within a
-//! [`SharedPvProxy`], and the geometry that splits a raw predictor index
-//! into a set and a tag. The proxy decides residency, replacement, fills
-//! and dirty write-backs; the front then reads or updates its own table
-//! write-through (the [`crate::shared`] module docs give the contract).
+//! table's contents (one [`PvSet`] of `E` entries per table set), its id
+//! within a [`SharedPvProxy`], and the geometry that splits a raw predictor
+//! index into a set and a tag. Where a set lives in memory is the proxy's
+//! business ([`SharedPvProxy::set_address`]). The proxy decides residency,
+//! replacement, fills and dirty write-backs; the front then reads or
+//! updates its own table write-through (the [`crate::shared`] module docs
+//! give the contract).
 //!
 //! A front is arranged one of two ways:
 //!
@@ -21,11 +23,10 @@
 
 use crate::config::PvConfig;
 use crate::entry::{PvEntry, PvLayout};
-use crate::register::PvStartRegister;
 use crate::shared::{SharedPvProxy, SharedStoreOutcome};
 use crate::stats::PvStats;
 use crate::storage::PvStorageBudget;
-use crate::table::PvTable;
+use crate::table::PvSet;
 use pv_mem::{Address, MemoryHierarchy};
 
 /// Result of a [`PvFront::lookup`].
@@ -51,7 +52,8 @@ pub struct PvFront<E> {
     pvcache_sets: usize,
     config: PvConfig,
     layout: PvLayout,
-    table: PvTable<E>,
+    /// The table's authoritative contents, one set per table set.
+    sets: Vec<PvSet<E>>,
 }
 
 impl<E: PvEntry> PvFront<E> {
@@ -74,19 +76,25 @@ impl<E: PvEntry> PvFront<E> {
     /// sub-region base) with `proxy`, which the caller keeps and lends to
     /// every [`Self::lookup`] and [`Self::store`]. `config` describes this
     /// table's geometry; the PVCache capacity is the proxy's.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`PvConfig::assert_valid`].
     pub fn cohabiting(
         proxy: &mut SharedPvProxy,
         config: PvConfig,
         pv_start: Address,
         label: &'static str,
     ) -> Self {
+        config.assert_valid();
         let table_id = proxy.add_table(pv_start, config.table_sets, config.block_bytes, label);
+        let layout = PvLayout::of::<E>(config.block_bytes);
         PvFront {
             table_id,
             own: None,
             pvcache_sets: proxy.cache().capacity(),
-            layout: PvLayout::of::<E>(config.block_bytes),
-            table: PvTable::new(&config, PvStartRegister::new(pv_start)),
+            layout,
+            sets: (0..config.table_sets).map(|_| PvSet::new(layout.entries_per_block())).collect(),
             config,
         }
     }
@@ -104,11 +112,6 @@ impl<E: PvEntry> PvFront<E> {
     /// The packed layout derived from `E`'s bit-widths.
     pub fn layout(&self) -> &PvLayout {
         &self.layout
-    }
-
-    /// The table's authoritative contents.
-    pub fn table(&self) -> &PvTable<E> {
-        &self.table
     }
 
     /// The front's own proxy (dedicated arrangement only).
@@ -165,7 +168,7 @@ impl<E: PvEntry> PvFront<E> {
 
     /// Number of entries the table holds (diagnostic).
     pub fn resident_entries(&self) -> usize {
-        self.table.resident_entries()
+        self.sets.iter().map(PvSet::len).sum()
     }
 
     /// Looks up the entry stored for `index`. `shared` is the proxy a
@@ -186,7 +189,7 @@ impl<E: PvEntry> PvFront<E> {
         // A dropped (pattern buffer full) or unbacked lookup loses the
         // prediction even if the entry exists: the set never came on chip.
         let entry = if access.resident {
-            self.table.set_mut(set_index).lookup(tag).cloned()
+            self.sets[set_index].lookup(tag).cloned()
         } else {
             None
         };
@@ -202,8 +205,8 @@ impl<E: PvEntry> PvFront<E> {
     /// # Panics
     ///
     /// Panics if `entry.tag()` differs from the tag bits of `index`, if the
-    /// entry does not fit the packed layout, or if a cohabiting front is
-    /// called without a proxy.
+    /// entry does not fit the packed layout, if its payload is the invalid
+    /// marker `0`, or if a cohabiting front is called without a proxy.
     pub fn store(
         &mut self,
         index: u64,
@@ -213,10 +216,10 @@ impl<E: PvEntry> PvFront<E> {
         now: u64,
     ) {
         let (set_index, tag) = self.split_index(index);
-        // Geometry guards: an entry that disagrees with the index's tag bits
-        // or that cannot pack into the derived layout would leave the table
-        // modelling hardware that cannot exist (mirrors encode_set's width
-        // checks).
+        // Geometry guards: an entry that disagrees with the index's tag bits,
+        // that cannot pack into the derived layout or that uses the invalid
+        // marker would leave the table modelling hardware that cannot exist
+        // (the `PvEntry` width and invalid-marker rules).
         assert_eq!(
             entry.tag(),
             tag,
@@ -229,8 +232,12 @@ impl<E: PvEntry> PvFront<E> {
             self.layout.tag_bits
         );
         assert!(
-            entry.payload() != 0 && entry.payload() <= self.layout.max_payload(),
-            "payload {:#x} must be non-zero (the invalid marker) and fit the layout's {} payload bits",
+            entry.payload() != 0,
+            "payload 0 is the invalid marker and cannot be stored"
+        );
+        assert!(
+            entry.payload() <= self.layout.max_payload(),
+            "payload {:#x} exceeds the layout's {} payload bits",
             entry.payload(),
             self.layout.payload_bits
         );
@@ -240,7 +247,7 @@ impl<E: PvEntry> PvFront<E> {
         if pick(&mut self.own, shared).store_set(self.table_id, set_index, mem, now)
             == SharedStoreOutcome::Accepted
         {
-            self.table.set_mut(set_index).insert(entry);
+            self.sets[set_index].insert(entry);
         }
     }
 }
@@ -259,7 +266,7 @@ fn pick<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::RawEntry;
+    use crate::entry::{NarrowEntry, RawEntry};
     use pv_mem::{AccessKind, DataClass, HierarchyConfig, HitLevel, Requester};
 
     /// An SMS-shaped index: low 10 bits select the set of a 1K-set table,
@@ -508,6 +515,62 @@ mod tests {
         assert_eq!(proxy.table_stats(1).lookups, 1);
         assert!(a.stats().is_none() && a.proxy().is_none());
         assert_eq!(a.label(), "shPV-8");
+    }
+
+    /// Stores `entry` at `index` in a dedicated PV-8 front of narrow
+    /// entries.
+    fn store_narrow(index: u64, entry: NarrowEntry) {
+        let config = HierarchyConfig::paper_baseline(4);
+        let mut mem = MemoryHierarchy::new(config);
+        let mut front: PvFront<NarrowEntry> =
+            PvFront::dedicated(0, PvConfig::pv8(), config.pv_regions.core_base(0), "narrow");
+        front.store(index, entry, &mut mem, None, 0);
+    }
+
+    #[test]
+    fn an_entry_that_fits_is_stored() {
+        let entry = NarrowEntry {
+            tag: 0x7FF,
+            payload: u64::from(u32::MAX),
+        };
+        store_narrow(index_for(3, 0x7FF), entry);
+    }
+
+    #[test]
+    #[should_panic(expected = "must match the index's tag bits")]
+    fn a_tag_other_than_the_index_tag_is_rejected() {
+        store_narrow(index_for(3, 5), NarrowEntry { tag: 6, payload: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the layout's 11 tag bits")]
+    fn a_tag_wider_than_the_tag_bits_is_rejected() {
+        // Tag 0x800 is the index's tag but needs 12 bits.
+        store_narrow(
+            index_for(3, 0x800),
+            NarrowEntry {
+                tag: 0x800,
+                payload: 1,
+            },
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "payload 0 is the invalid marker")]
+    fn a_zero_payload_is_rejected() {
+        store_narrow(index_for(3, 5), NarrowEntry { tag: 5, payload: 0 });
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds the layout's 32 payload bits")]
+    fn a_payload_wider_than_the_payload_bits_is_rejected() {
+        store_narrow(
+            index_for(3, 5),
+            NarrowEntry {
+                tag: 5,
+                payload: 1 << 32,
+            },
+        );
     }
 
     #[test]

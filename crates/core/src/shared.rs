@@ -21,8 +21,8 @@
 //!
 //! The PVCache tracks *residency and timing only* (which (table, set) is
 //! cached, dirty bit, fill completion time). The authoritative entry values
-//! live in each table's [`crate::PvTable`], which its typed front
-//! ([`crate::PvFront`]) updates write-through. Because each table has
+//! live in each table's typed front ([`crate::PvFront`]), which updates
+//! them write-through. Because each table has
 //! exactly one owner, this behaves like fetching a copy of the set on a miss
 //! and writing the copy back when it is evicted dirty — except that in-set
 //! recency promotions made by lookups survive a *clean* eviction: they were
@@ -544,6 +544,10 @@ mod tests {
     #[test]
     fn tables_have_disjoint_addresses_inside_one_region() {
         let (mem, proxy) = setup();
+        // Figure 3b: each set is one block past the previous, from the
+        // table's base.
+        let base = proxy.set_address(0, 0).raw();
+        assert_eq!(proxy.set_address(0, 2).raw(), base + 2 * 64);
         let last_a = proxy.set_address(0, 1023).raw() + 63;
         let first_b = proxy.set_address(1, 0).raw();
         assert!(last_a < first_b);

@@ -1,20 +1,17 @@
-//! The PVTable: the virtualized predictor table living in main memory.
+//! One set of a virtualized predictor table.
 //!
-//! The simulator tracks the table's *contents* functionally (the actual
-//! entry values) while the *movement* of those contents through the memory
-//! hierarchy is modelled by issuing real block requests for the table's
-//! addresses. This mirrors how an RTL implementation would behave: the
-//! values live in DRAM/caches, and what the architecture controls is which
-//! blocks move when.
+//! The simulator tracks a table's *contents* functionally (the actual entry
+//! values, one [`PvSet`] per table set, held by the table's
+//! [`crate::PvFront`]) while the *movement* of those contents through the
+//! memory hierarchy is modelled by the proxy issuing real block requests
+//! for the sets' addresses. This mirrors how an RTL implementation would
+//! behave: the values live in DRAM/caches, and what the architecture
+//! controls is which blocks move when.
 //!
-//! The table is generic over the predictor's [`PvEntry`] type: its
-//! associativity is however many packed entries fit in one memory block
-//! under the entry's [`PvLayout`].
+//! A set's associativity is however many entries fit in one memory block
+//! under the entry type's [`crate::PvLayout`] (Figure 3a).
 
-use crate::config::PvConfig;
-use crate::entry::{PvEntry, PvLayout};
-use crate::register::PvStartRegister;
-use pv_mem::Address;
+use crate::entry::PvEntry;
 
 /// One set of the PVTable: up to `ways` entries, kept in recency order
 /// (most recently used first) so that within-set replacement is LRU.
@@ -42,11 +39,6 @@ impl<E: PvEntry> PvSet<E> {
     /// Whether the set holds no entries.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// Associativity of the set.
-    pub fn ways(&self) -> usize {
-        self.ways
     }
 
     /// Looks up the entry tagged `tag`, promoting it to most-recently-used
@@ -79,158 +71,45 @@ impl<E: PvEntry> PvSet<E> {
         self.entries.rotate_right(1);
         None
     }
-
-    /// Iterates over the entries, most recently used first.
-    pub fn iter(&self) -> impl Iterator<Item = &E> {
-        self.entries.iter()
-    }
-
-    /// Appends `entry` at the least-recently-used position if its tag is not
-    /// already present, returning whether it was appended. Used by the
-    /// packing codec to rebuild a set in recency order without the
-    /// promote-on-insert shuffling (and without temporary buffers).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the set is already full.
-    pub(crate) fn push_lru(&mut self, entry: E) -> bool {
-        if self.entries.iter().any(|e| e.tag() == entry.tag()) {
-            return false;
-        }
-        assert!(self.entries.len() < self.ways, "set is full");
-        self.entries.push(entry);
-        true
-    }
-}
-
-/// The in-memory predictor table of one core.
-#[derive(Debug, Clone)]
-pub struct PvTable<E> {
-    start: PvStartRegister,
-    layout: PvLayout,
-    sets: Vec<PvSet<E>>,
-}
-
-impl<E: PvEntry> PvTable<E> {
-    /// Creates an empty PVTable for the geometry in `config`, packed per
-    /// `E`'s layout, based at `start`.
-    pub fn new(config: &PvConfig, start: PvStartRegister) -> Self {
-        config.assert_valid();
-        let layout = PvLayout::of::<E>(config.block_bytes);
-        PvTable {
-            start,
-            layout,
-            sets: (0..config.table_sets).map(|_| PvSet::new(layout.entries_per_block())).collect(),
-        }
-    }
-
-    /// Number of sets.
-    pub fn sets(&self) -> usize {
-        self.sets.len()
-    }
-
-    /// The packed layout of this table's entries.
-    pub fn layout(&self) -> &PvLayout {
-        &self.layout
-    }
-
-    /// The `PVStart` register value this table is based at.
-    pub fn start(&self) -> PvStartRegister {
-        self.start
-    }
-
-    /// Main-memory footprint in bytes.
-    pub fn footprint_bytes(&self) -> u64 {
-        self.sets.len() as u64 * self.layout.block_bytes
-    }
-
-    /// The physical address of set `set_index` (Figure 3b).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set_index` is out of range.
-    pub fn set_address(&self, set_index: usize) -> Address {
-        assert!(
-            set_index < self.sets.len(),
-            "set index {set_index} out of range"
-        );
-        self.start.set_address(set_index, self.layout.block_bytes)
-    }
-
-    /// Mutable access to set `set_index` — used by the write-through
-    /// [`crate::PvFront`], which keeps the authoritative contents in the
-    /// table and leaves only residency metadata to the PVCache.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set_index` is out of range.
-    pub fn set_mut(&mut self, set_index: usize) -> &mut PvSet<E> {
-        &mut self.sets[set_index]
-    }
-
-    /// Total number of entries stored across all sets.
-    pub fn resident_entries(&self) -> usize {
-        self.sets.iter().map(|s| s.len()).sum()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::entry::RawEntry;
-    use pv_mem::Address;
+    use crate::config::PvConfig;
+    use crate::entry::{NarrowEntry, RawEntry};
+    use crate::proxy::PvFront;
+    use pv_mem::{HierarchyConfig, MemoryHierarchy};
 
-    /// An SMS-shaped test entry: 11-bit tag, 32-bit payload.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    struct NarrowEntry {
-        tag: u16,
-        payload: u32,
-    }
-
-    impl PvEntry for NarrowEntry {
-        const TAG_BITS: u32 = 11;
-        const PAYLOAD_BITS: u32 = 32;
-
-        fn tag(&self) -> u64 {
-            u64::from(self.tag)
-        }
-
-        fn payload(&self) -> u64 {
-            u64::from(self.payload)
-        }
-
-        fn from_parts(tag: u64, payload: u64) -> Option<Self> {
-            (payload != 0).then_some(NarrowEntry {
-                tag: tag as u16,
-                payload: payload as u32,
-            })
-        }
-    }
-
-    fn table() -> PvTable<NarrowEntry> {
-        PvTable::new(
-            &PvConfig::pv8(),
-            PvStartRegister::new(Address::new(0x10_0000)),
-        )
-    }
-
-    #[test]
-    fn set_addresses_are_block_strided() {
-        let table = table();
-        assert_eq!(table.set_address(0), Address::new(0x10_0000));
-        assert_eq!(table.set_address(2), Address::new(0x10_0080));
-        assert_eq!(table.footprint_bytes(), 64 * 1024);
-        assert_eq!(table.sets(), 1024);
-        assert_eq!(table.layout().entries_per_block(), 11);
+    /// A memory hierarchy and a dedicated PV-8 front of `E` entries on
+    /// core 0's PV region.
+    fn front<E: PvEntry>() -> (MemoryHierarchy, PvFront<E>) {
+        let config = HierarchyConfig::paper_baseline(4);
+        let front = PvFront::dedicated(0, PvConfig::pv8(), config.pv_regions.core_base(0), "test");
+        (MemoryHierarchy::new(config), front)
     }
 
     #[test]
     fn associativity_derives_from_entry_widths() {
-        // RawEntry is 128 bits wide, so only 4 fit in a 64-byte block.
-        let mut table: PvTable<RawEntry> =
-            PvTable::new(&PvConfig::pv8(), PvStartRegister::new(Address::new(0)));
-        assert_eq!(table.layout().entries_per_block(), 4);
-        assert_eq!(table.set_mut(0).ways(), 4);
+        // RawEntry is 128 bits wide, so only 4 fit in a 64-byte block: a
+        // fifth tag stored into one set evicts the least recently used.
+        let (mut mem, mut front) = front::<RawEntry>();
+        assert_eq!(front.layout().entries_per_block(), 4);
+        let index = |tag: u64| (tag << 10) | 7;
+        for tag in 1..=5 {
+            front.store(
+                index(tag),
+                RawEntry::new(tag, tag),
+                &mut mem,
+                None,
+                tag * 1_000,
+            );
+        }
+        assert_eq!(front.resident_entries(), 4);
+        assert!(front.lookup(index(1), &mut mem, None, 10_000).entry.is_none());
+        for tag in 2..=5 {
+            assert!(front.lookup(index(tag), &mut mem, None, 10_000 + tag).entry.is_some());
+        }
     }
 
     #[test]
@@ -258,19 +137,18 @@ mod tests {
 
     #[test]
     fn write_and_read_set_round_trip() {
-        let mut table = table();
+        let (mut mem, mut front) = front::<NarrowEntry>();
+        assert_eq!(front.layout().entries_per_block(), 11);
+        let index = (5 << 10) | 100;
         let entry = NarrowEntry {
             tag: 5,
             payload: 0xE,
         };
-        table.set_mut(100).insert(entry);
-        assert_eq!(table.set_mut(100).peek(5), Some(&entry));
-        assert_eq!(table.resident_entries(), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn out_of_range_set_panics() {
-        table().set_address(5000);
+        front.store(index, entry, &mut mem, None, 0);
+        assert_eq!(
+            front.lookup(index, &mut mem, None, 1_000).entry,
+            Some(entry)
+        );
+        assert_eq!(front.resident_entries(), 1);
     }
 }

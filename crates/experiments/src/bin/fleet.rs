@@ -14,7 +14,8 @@
 //! Defaults sweep the 64-point grid of `FleetGrid::default_grid` at quick
 //! scale over all available host threads. `--cpt 0` is the paper's
 //! `Ideal` fixed-latency DRAM; non-zero values run `Queued` contention at
-//! that cycles-per-transfer. `--scenarios` appends the
+//! that cycles-per-transfer, at most [`MAX_CPT`] (larger values exit 2
+//! before any point runs). `--scenarios` appends the
 //! non-stationary scenario compositions as additional workload points;
 //! `--throttle` additionally sweeps every throttleable kind under the
 //! default feedback policy. Rows carry no timing, so
@@ -26,6 +27,12 @@ use pv_experiments::fleet::{
     default_scenarios, kind_names, parse_kind, parse_workload, run_fleet, FleetGrid,
 };
 use pv_experiments::{Scale, Workload};
+
+/// The largest `--cpt` value: far above the 16–128 cycles per transfer the
+/// experiments sweep, and small enough that a run's queued cycle
+/// arithmetic stays far below `u64::MAX` (at `u64::MAX` itself the DRAM
+/// queue delay wraps and a worker panics).
+const MAX_CPT: u64 = u32::MAX as u64;
 
 fn fail(message: &str) -> ! {
     eprintln!("{message}");
@@ -94,9 +101,15 @@ fn main() {
                 grid.cycles_per_transfer = list
                     .split(',')
                     .map(|v| {
-                        v.trim().parse().unwrap_or_else(|_| {
+                        let cpt: u64 = v.trim().parse().unwrap_or_else(|_| {
                             fail("--cpt expects comma-separated cycle counts (0 = Ideal)")
-                        })
+                        });
+                        if cpt > MAX_CPT {
+                            fail(&format!(
+                                "--cpt {cpt} exceeds the ceiling of {MAX_CPT} cycles per transfer"
+                            ));
+                        }
+                        cpt
                     })
                     .collect();
             }

@@ -93,6 +93,30 @@ fn fleet_reports_a_closed_pipe_instead_of_panicking() {
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
+/// A `--cpt` above the ceiling is rejected while parsing, so no point
+/// runs; at `u64::MAX` a worker used to panic on a wrapped queue delay.
+#[test]
+fn fleet_rejects_a_cpt_above_the_ceiling() {
+    for cpt in ["18446744073709551615", "4294967296"] {
+        let args = ONE_POINT.replace("--cpt 0", &format!("--cpt 0,{cpt}"));
+        let output = run(
+            env!("CARGO_BIN_EXE_fleet"),
+            &args.split(' ').collect::<Vec<_>>(),
+        );
+        let stderr = stderr(&output);
+        assert_eq!(output.status.code(), Some(2), "--cpt {cpt}: {stderr}");
+        assert!(
+            stderr.contains(&format!("--cpt {cpt} exceeds the ceiling of 4294967295")),
+            "stderr: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+        assert!(
+            output.stdout.is_empty(),
+            "a rejected sweep must write no row"
+        );
+    }
+}
+
 /// `--mix` adds to the workload axis whichever side of `--workloads` it
 /// is given on: each order sweeps the named workload and the mix.
 #[test]

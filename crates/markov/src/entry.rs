@@ -109,13 +109,6 @@ impl PvEntry for MarkovEntry {
     fn payload(&self) -> u64 {
         u64::from(self.code)
     }
-
-    fn from_parts(tag: u64, payload: u64) -> Option<Self> {
-        (payload != 0).then_some(MarkovEntry {
-            tag: tag as u16,
-            code: payload as u32,
-        })
-    }
 }
 
 /// Configuration of the Markov prefetcher.
@@ -187,15 +180,18 @@ mod tests {
             1 << 20,
             -(1 << 20),
             MarkovEntry::max_delta(),
+            -MarkovEntry::max_delta(),
         ] {
             let entry = MarkovEntry::new(0x5A5, delta).expect("delta in range");
             assert_eq!(entry.delta(), delta, "delta {delta}");
-            let rebuilt = MarkovEntry::from_parts(entry.tag(), entry.payload()).unwrap();
-            assert_eq!(rebuilt, entry);
             assert_ne!(
                 entry.payload(),
                 0,
                 "valid entries never use the invalid marker"
+            );
+            assert!(
+                entry.payload() <= PvLayout::of::<MarkovEntry>(64).max_payload(),
+                "delta {delta} fits the payload bits"
             );
         }
     }

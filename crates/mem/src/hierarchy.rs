@@ -35,8 +35,6 @@ pub enum RequesterKind {
     Instruction,
     /// The per-core PVProxy, injecting requests directly at the L2.
     PvProxy,
-    /// A data prefetch on behalf of a core (SMS stream).
-    DataPrefetch,
 }
 
 /// A request source: which core and which agent on that core.
@@ -70,14 +68,6 @@ impl Requester {
         Requester {
             core,
             kind: RequesterKind::PvProxy,
-        }
-    }
-
-    /// A data prefetch issued on behalf of a core.
-    pub fn prefetch(core: usize) -> Self {
-        Requester {
-            core,
-            kind: RequesterKind::DataPrefetch,
         }
     }
 }
@@ -351,7 +341,7 @@ impl MemoryHierarchy {
             RequesterKind::Instruction => {
                 self.l1_path(requester.core, block, kind, class, now, true)
             }
-            RequesterKind::PvProxy | RequesterKind::DataPrefetch => {
+            RequesterKind::PvProxy => {
                 let below = self.l2_path(block, kind, class, now);
                 AccessResponse {
                     latency: below.latency,

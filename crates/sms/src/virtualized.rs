@@ -54,13 +54,6 @@ impl PvEntry for SmsEntry {
         // pattern bits double as the substrate's invalid marker.
         u64::from(self.pattern.bits())
     }
-
-    fn from_parts(tag: u64, payload: u64) -> Option<Self> {
-        (payload != 0).then_some(SmsEntry {
-            tag: tag as u16,
-            pattern: SpatialPattern::from_bits(payload as u32),
-        })
-    }
 }
 
 /// The virtualized PHT backend for one core's SMS prefetcher: a thin

@@ -1,9 +1,9 @@
 //! The on-disk trace format: a fixed header followed by 64-byte blocks of
 //! packed records.
 //!
-//! The layout follows the paper's Figure 3a packing idiom that
-//! `pv_core::packing` productized for PVTable sets: records are packed back
-//! to back, little-endian, into cache-block-sized frames, and the bytes
+//! The layout follows the paper's Figure 3a packing idiom for PVTable
+//! sets: records are packed back to back, little-endian, into
+//! cache-block-sized frames, and the bytes
 //! left over at the end of a block form an unused trailer. A record has one
 //! fixed layout — 48-bit PC, 48-bit address, 2-bit op, 14-bit instruction
 //! count, 112 bits — so it fills exactly 14 bytes, each 64-byte block

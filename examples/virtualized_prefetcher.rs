@@ -31,7 +31,7 @@ fn main() {
 
     println!(
         "PVTable for core 0 reserved at {pv_start} ({} KB of physical memory)",
-        front.table().footprint_bytes() / 1024
+        front.config().table_sets as u64 * front.config().block_bytes / 1024
     );
     let layout = *front.layout();
     println!(

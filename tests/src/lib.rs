@@ -9,8 +9,6 @@
 //! * [`ReferenceSetAssociative`] — a `Vec` of `Vec`s with one boxed LRU
 //!   [`ReplacementPolicy`](replacement::ReplacementPolicy) per set,
 //!   against `pv_mem::SetAssociative`;
-//! * [`packing_ref`] — the bit-at-a-time codec, against
-//!   `pv_core::packing`;
 //! * [`ReferenceInflightQueue`] — the growable DRAM in-flight deque,
 //!   against `pv_mem::InflightRing`.
 
@@ -18,7 +16,6 @@
 #![warn(missing_docs)]
 
 pub mod inflight;
-pub mod packing_ref;
 pub mod replacement;
 pub mod set_assoc_ref;
 

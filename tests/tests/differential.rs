@@ -2,19 +2,16 @@
 //! reference implementations in `pv_tests`.
 //!
 //! The flat [`SetAssociative`] (packed replacement state, no boxed policies,
-//! no per-insert valid-mask) and the word-level packing codec replaced
-//! allocation-heavy originals in the per-access simulation path. Those
-//! originals are kept as test oracles, [`ReferenceSetAssociative`] and
-//! [`packing_ref`]; here both generations are driven with identical
-//! seeded random op streams and must agree on every observable: hits,
-//! misses, evicted victims, occupancy, and bit-exact packed block layouts.
-//! The flat [`MshrFile`] is checked the same way against an ordered-map
-//! model written here, and `read_bits` against the reference at every
-//! width, shift and block edge.
+//! no per-insert valid-mask) replaced an allocation-heavy original in the
+//! per-access simulation path. That original is kept as a test oracle,
+//! [`ReferenceSetAssociative`]; here both generations are driven with
+//! identical seeded random op streams and must agree on every observable:
+//! hits, misses, evicted victims and occupancy. The DRAM in-flight ring is
+//! checked the same way against [`ReferenceInflightQueue`], and the flat
+//! [`MshrFile`] against an ordered-map model written here.
 
-use pv_core::{decode_set, encode_set, packing, PvLayout, PvSet, RawEntry};
 use pv_mem::{ReplacementState, SetAssociative};
-use pv_tests::{packing_ref, ReferenceInflightQueue, ReferenceSetAssociative};
+use pv_tests::{ReferenceInflightQueue, ReferenceSetAssociative};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -86,88 +83,6 @@ fn flat_set_associative_matches_reference_lru() {
         for ways in 1..=ReplacementState::MAX_WAYS {
             drive_differential(ways, 0xD1FF_0000 + (seed << 8) + ways as u64);
         }
-    }
-}
-
-/// A random layout that fits 64-byte blocks, same bounds as the invariants
-/// suite.
-fn random_layout(rng: &mut StdRng) -> PvLayout {
-    let tag_bits = rng.gen_range(4u32..=20);
-    let payload_bits = rng.gen_range(4u32..=44);
-    PvLayout::new(tag_bits, payload_bits, 64)
-}
-
-fn random_set(rng: &mut StdRng, layout: &PvLayout, occupancy: usize) -> PvSet<RawEntry> {
-    let mut set = PvSet::new(layout.entries_per_block());
-    for _ in 0..occupancy {
-        let tag = rng.gen_range(0u64..=layout.max_tag());
-        let payload = rng.gen_range(1u64..=layout.max_payload());
-        set.insert(RawEntry::new(tag, payload));
-    }
-    set
-}
-
-/// The word-level codec and the retained bit-at-a-time codec must produce
-/// byte-identical blocks and identical decoded sets across random layouts
-/// and occupancies.
-#[test]
-fn word_level_codec_matches_reference_bit_layout() {
-    let mut rng = StdRng::seed_from_u64(0xD1FF_3000);
-    for _ in 0..200 {
-        let layout = random_layout(&mut rng);
-        let occupancy = rng.gen_range(0usize..=layout.entries_per_block());
-        let set = random_set(&mut rng, &layout, occupancy);
-
-        let word_block = encode_set(&set, &layout);
-        let bit_block = packing_ref::encode_set(&set, &layout);
-        assert_eq!(
-            &word_block[..],
-            &bit_block[..],
-            "packed layout diverged for {layout:?}"
-        );
-
-        let word_decoded: PvSet<RawEntry> = decode_set(&word_block, &layout);
-        let bit_decoded: PvSet<RawEntry> = packing_ref::decode_set(&word_block, &layout);
-        let word_order: Vec<&RawEntry> = word_decoded.iter().collect();
-        let bit_order: Vec<&RawEntry> = bit_decoded.iter().collect();
-        assert_eq!(word_order, bit_order, "decode diverged for {layout:?}");
-        assert_eq!(word_decoded.len(), set.len());
-    }
-}
-
-/// Cross-decoding: blocks written by one codec generation decode identically
-/// under the other, including blocks with adversarial duplicate tags.
-#[test]
-fn codec_generations_cross_decode() {
-    let mut rng = StdRng::seed_from_u64(0xD1FF_4000);
-    for _ in 0..100 {
-        let layout = random_layout(&mut rng);
-        // Write raw fields directly (duplicates allowed) through each
-        // generation's primitives; both must decode the block the same way.
-        let mut word_buf = vec![0u8; 64];
-        let mut bit_buf = vec![0u8; 64];
-        for slot in 0..layout.entries_per_block() {
-            let tag = rng.gen_range(0u64..=layout.max_tag().min(3));
-            let payload = rng.gen_range(0u64..=layout.max_payload());
-            let offset = slot * layout.entry_bits() as usize;
-            packing::write_bits(&mut word_buf, offset, tag, layout.tag_bits);
-            packing_ref::write_bits(&mut bit_buf, offset, tag, layout.tag_bits);
-            let payload_offset = offset + layout.tag_bits as usize;
-            packing::write_bits(&mut word_buf, payload_offset, payload, layout.payload_bits);
-            packing_ref::write_bits(&mut bit_buf, payload_offset, payload, layout.payload_bits);
-        }
-        assert_eq!(
-            word_buf, bit_buf,
-            "raw field writes diverged for {layout:?}"
-        );
-        let a: PvSet<RawEntry> = decode_set(&word_buf, &layout);
-        let b: PvSet<RawEntry> = packing_ref::decode_set(&word_buf, &layout);
-        let a_order: Vec<&RawEntry> = a.iter().collect();
-        let b_order: Vec<&RawEntry> = b.iter().collect();
-        assert_eq!(
-            a_order, b_order,
-            "duplicate-tag decode diverged for {layout:?}"
-        );
     }
 }
 
@@ -456,38 +371,6 @@ fn flat_mshr_file_matches_an_ordered_map_model() {
                 model.merges,
                 model.full_stalls
             );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// `read_bits` window edges: the direct 16-byte load and the padded copy
-// near the end of a block, against the bit-at-a-time reference.
-// ---------------------------------------------------------------------------
-
-/// Every width 1..=64 at every in-byte shift 0..=7, at every first byte
-/// where the field still fits the 64-byte block: first bytes up to 48
-/// take the direct 16-byte load, later ones (whose window runs past the
-/// block) the padded fallback, down to fields ending on the final byte.
-#[test]
-fn read_bits_matches_reference_at_every_width_shift_and_block_edge() {
-    let mut rng = StdRng::seed_from_u64(0xD1FF_6000);
-    let block: Vec<u8> = (0..64).map(|_| rng.gen::<u64>() as u8).collect();
-    for bits in 1u32..=64 {
-        for shift in 0usize..8 {
-            let last_first = (64 * 8 - shift - bits as usize) / 8;
-            assert!(
-                last_first + 16 > 64,
-                "every field reaches the fallback region"
-            );
-            for first in 0..=last_first {
-                let offset = first * 8 + shift;
-                assert_eq!(
-                    packing::read_bits(&block, offset, bits),
-                    packing_ref::read_bits(&block, offset, bits),
-                    "bits {bits}, shift {shift}, first byte {first}"
-                );
-            }
         }
     }
 }

@@ -1,11 +1,11 @@
-//! Property-based tests of cross-crate invariants: the generic PVTable
-//! packing codec (randomized entry widths and occupancy), PHT index
-//! arithmetic, address round-trips, and coverage accounting.
+//! Property-based tests of cross-crate invariants: the generic Figure 3a
+//! layout (randomized entry widths), PHT index arithmetic, address
+//! round-trips, and coverage accounting.
 //!
 //! The properties are exercised with a seeded deterministic RNG: hundreds of
 //! random cases per property, fully reproducible.
 
-use pv_core::{decode_set, encode_set, PvConfig, PvEntry, PvLayout, PvSet, RawEntry};
+use pv_core::{PvConfig, PvLayout};
 use pv_mem::Address;
 use pv_sms::{PhtIndex, SmsEntry, SpatialPattern, TriggerKey, VirtualizedPht};
 use rand::rngs::StdRng;
@@ -23,63 +23,27 @@ fn random_layout(rng: &mut StdRng) -> PvLayout {
     PvLayout::new(tag_bits, payload_bits, 64)
 }
 
-/// A random set for `layout` with the given occupancy, with in-range tags
-/// and valid (non-zero) in-range payloads.
-fn random_set(rng: &mut StdRng, layout: &PvLayout, occupancy: usize) -> PvSet<RawEntry> {
-    let mut set = PvSet::new(layout.entries_per_block());
-    for _ in 0..occupancy {
-        let tag = rng.gen_range(0u64..=layout.max_tag());
-        let payload = rng.gen_range(1u64..=layout.max_payload());
-        set.insert(RawEntry::new(tag, payload));
-    }
-    set
-}
-
-/// Any set of valid entries survives the packed round trip of Figure 3a,
-/// for randomized entry widths and occupancies — the codec is generic, not
-/// specialised to the paper's 11 × 43-bit instance.
-#[test]
-fn packed_pvtable_sets_round_trip_across_random_layouts() {
-    let mut rng = rng();
-    for _ in 0..300 {
-        let layout = random_layout(&mut rng);
-        let occupancy = rng.gen_range(0usize..=layout.entries_per_block());
-        let set = random_set(&mut rng, &layout, occupancy);
-        let decoded: PvSet<RawEntry> = decode_set(&encode_set(&set, &layout), &layout);
-        assert_eq!(decoded.len(), set.len(), "layout {layout:?}");
-        for entry in set.iter() {
-            assert_eq!(
-                decoded.peek(entry.tag),
-                Some(entry),
-                "tag {:#x} under layout {layout:?}",
-                entry.tag
-            );
-        }
-        // Recency order survives too.
-        let original: Vec<u64> = set.iter().map(|e| e.tag).collect();
-        let rebuilt: Vec<u64> = decoded.iter().map(|e| e.tag).collect();
-        assert_eq!(original, rebuilt, "recency order under layout {layout:?}");
-    }
-}
-
-/// The encoded block never exceeds one cache block and always leaves the
-/// Figure 3a trailer bits unused, whatever the entry widths.
+/// A full set of packed entries fits one block, whatever the entry
+/// widths: the entries and the unused Figure 3a trailer add up to the
+/// block exactly, and the trailer is too short for one more entry.
 #[test]
 fn packed_sets_always_fit_one_block() {
     let mut rng = rng();
     for _ in 0..300 {
         let layout = random_layout(&mut rng);
-        let set = random_set(&mut rng, &layout, layout.entries_per_block());
-        let encoded = encode_set(&set, &layout);
-        assert_eq!(encoded.len() as u64, layout.block_bytes);
-        let used_bits = layout.entries_per_block() * layout.entry_bits() as usize;
-        for bit in used_bits..(layout.block_bytes * 8) as usize {
-            assert_eq!(
-                encoded[bit / 8] & (1 << (bit % 8)),
-                0,
-                "trailer bit {bit} dirty under layout {layout:?}"
-            );
-        }
+        let entry_bits = u64::from(layout.entry_bits());
+        assert_eq!(
+            entry_bits,
+            u64::from(layout.tag_bits + layout.payload_bits),
+            "{layout:?}"
+        );
+        let used_bits = layout.entries_per_block() as u64 * entry_bits;
+        assert_eq!(
+            used_bits + layout.unused_trailing_bits(),
+            layout.block_bytes * 8,
+            "{layout:?}"
+        );
+        assert!(layout.unused_trailing_bits() < entry_bits, "{layout:?}");
     }
 }
 
@@ -96,28 +60,6 @@ fn paper_sms_instance_is_pinned() {
         VirtualizedPht::storage_budget(&PvConfig::pv8()).total_bytes(),
         889
     );
-}
-
-/// SMS entries round-trip through the packed encoding with their pattern
-/// payloads intact.
-#[test]
-fn sms_entries_round_trip_through_the_generic_codec() {
-    let mut rng = rng();
-    let layout = PvLayout::of::<SmsEntry>(64);
-    for _ in 0..200 {
-        let occupancy = rng.gen_range(0usize..=11);
-        let mut set = PvSet::new(layout.entries_per_block());
-        for _ in 0..occupancy {
-            let tag = rng.gen_range(0u64..2048) as u16;
-            let bits = rng.gen_range(1u64..=u64::from(u32::MAX)) as u32;
-            set.insert(SmsEntry::new(tag, SpatialPattern::from_bits(bits)));
-        }
-        let decoded: PvSet<SmsEntry> = decode_set(&encode_set(&set, &layout), &layout);
-        assert_eq!(decoded.len(), set.len());
-        for entry in set.iter() {
-            assert_eq!(decoded.peek(entry.tag()), Some(entry));
-        }
-    }
 }
 
 /// PHT set index and tag always reconstruct the 21-bit index, for every

@@ -7,10 +7,10 @@
 //!
 //! 1. property round trips — seeded random records that fill every field's
 //!    width encode→decode identically;
-//! 2. a bit-at-a-time oracle (`pv_tests::packing_ref`) — encoding matches
-//!    it byte for byte, all-ones fields at every slot included, and
-//!    decoding matches it on random bodies, so a bug mirrored in encoder
-//!    and decoder cannot pass as a round trip;
+//! 2. a bit-at-a-time oracle (`oracle_write_bits`, `oracle_read_bits`) —
+//!    encoding matches it byte for byte, all-ones fields at every slot
+//!    included, and decoding matches it on random bodies, so a bug mirrored
+//!    in encoder and decoder cannot pass as a round trip;
 //! 3. a golden trace committed at `tests/data/golden_qry1.pvtrace` — both
 //!    directions are pinned (current encoder reproduces the bytes, current
 //!    decoder reproduces the records), so neither side can drift;
@@ -20,7 +20,6 @@
 
 use pv_mem::ContentionModel;
 use pv_sim::{run_streams, run_workload, PrefetcherKind, SimConfig};
-use pv_tests::packing_ref;
 use pv_trace::{
     encode_records, record_generator, Provenance, ReplayStream, TraceError, TraceHeader, VERSION,
 };
@@ -104,8 +103,30 @@ fn oracle_record_bit(index: usize) -> usize {
     8 * (32 + index / per_block * 64) + index % per_block * record_bits as usize
 }
 
+/// ORs the low `bits` bits of `value` into `buffer` from `bit_offset` on,
+/// one bit at a time, little-endian within and across bytes.
+fn oracle_write_bits(buffer: &mut [u8], bit_offset: usize, value: u64, bits: u32) {
+    for i in 0..bits as usize {
+        if (value >> i) & 1 == 1 {
+            let position = bit_offset + i;
+            buffer[position / 8] |= 1 << (position % 8);
+        }
+    }
+}
+
+/// Reads `bits` bits from `bit_offset` on, one bit at a time: the inverse
+/// of [`oracle_write_bits`].
+fn oracle_read_bits(buffer: &[u8], bit_offset: usize, bits: u32) -> u64 {
+    (0..bits as usize)
+        .filter(|i| {
+            let position = bit_offset + i;
+            buffer[position / 8] & (1 << (position % 8)) != 0
+        })
+        .fold(0, |value, i| value | 1 << i)
+}
+
 /// A trace of `records` records, written one bit at a time with
-/// `packing_ref::write_bits`: the header field by field, then each record's
+/// [`oracle_write_bits`]: the header field by field, then each record's
 /// four fields at the offset the format defines.
 fn oracle_encode(records: &[TraceRecord], provenance: Provenance) -> Vec<u8> {
     let blocks = records.len().div_ceil(4);
@@ -133,7 +154,7 @@ fn oracle_encode(records: &[TraceRecord], provenance: Provenance) -> Vec<u8> {
             u64::from(record.non_mem_instructions),
         ];
         for (value, bits) in values.into_iter().zip(WIDTHS) {
-            packing_ref::write_bits(&mut bytes, bit, value, bits);
+            oracle_write_bits(&mut bytes, bit, value, bits);
             bit += bits as usize;
         }
     }
@@ -141,11 +162,11 @@ fn oracle_encode(records: &[TraceRecord], provenance: Provenance) -> Vec<u8> {
 }
 
 /// Record `index` of a trace, read one bit at a time with
-/// `packing_ref::read_bits`.
+/// [`oracle_read_bits`].
 fn oracle_decode(bytes: &[u8], index: usize) -> TraceRecord {
     let mut bit = oracle_record_bit(index);
     let [pc, address, op, count] = WIDTHS.map(|bits| {
-        let value = packing_ref::read_bits(bytes, bit, bits);
+        let value = oracle_read_bits(bytes, bit, bits);
         bit += bits as usize;
         value
     });
@@ -210,7 +231,7 @@ fn decoding_matches_the_bit_at_a_time_oracle_on_random_bodies() {
         bytes[32..].fill_with(|| rng.gen::<u64>() as u8);
         for index in 0..count {
             let op_bit = oracle_record_bit(index) + (WIDTHS[0] + WIDTHS[1]) as usize;
-            if packing_ref::read_bits(&bytes, op_bit, 2) == 3 {
+            if oracle_read_bits(&bytes, op_bit, 2) == 3 {
                 bytes[(op_bit + 1) / 8] &= !(1 << ((op_bit + 1) % 8));
             }
         }
