@@ -2,104 +2,58 @@
 //! DESIGN.md calls out: the PVCache capacity and the importance of packing a
 //! whole PHT set into one memory block.
 
+use crate::comparison::{homogeneous, Comparison, Pair, Rows};
 use crate::report::{pct, Table};
-use crate::runner::{RunSpec, Runner};
+use crate::runner::HierarchyVariant;
 use pv_core::PvConfig;
 use pv_sim::PrefetcherKind;
 use pv_workloads::WorkloadId;
 
-/// One PVCache-capacity ablation point.
-#[derive(Debug, Clone)]
-pub struct PvCacheAblationRow {
-    /// Workload name.
-    pub workload: String,
-    /// Number of PVCache sets.
-    pub pvcache_sets: usize,
-    /// Coverage achieved.
-    pub coverage: f64,
-    /// PVCache hit ratio.
-    pub pvcache_hit_ratio: f64,
-    /// Relative increase in L2 requests over the dedicated 1K-set SMS.
-    pub l2_request_increase: f64,
-    /// On-chip storage of the proxy in bytes.
-    pub storage_bytes: u64,
-}
-
-/// The PVCache capacities swept.
-pub fn pvcache_sizes() -> [usize; 4] {
-    [4, 8, 16, 32]
-}
-
-/// The workloads used for the ablation (one capacity-sensitive OLTP workload
-/// and one scan).
-pub fn workloads() -> [WorkloadId; 2] {
-    [WorkloadId::Oracle, WorkloadId::Qry1]
-}
-
-/// Runs the PVCache-capacity sweep.
-pub fn pvcache_rows(runner: &Runner) -> Vec<PvCacheAblationRow> {
-    let mut specs: Vec<RunSpec> = Vec::new();
-    for &workload in &workloads() {
-        specs.push(RunSpec::base(workload, PrefetcherKind::sms_1k_11a()));
-        for &sets in &pvcache_sizes() {
-            specs.push(RunSpec::base(
-                workload,
-                PrefetcherKind::sms_virtualized(PvConfig::pv8().with_pvcache_sets(sets)),
-            ));
-        }
+/// The PVCache-capacity sweep (4 to 32 sets) against the dedicated 1K-set
+/// SMS, on one capacity-sensitive OLTP workload and one scan.
+pub fn comparison() -> Comparison {
+    Comparison {
+        title: "Ablation — PVCache capacity (supports the paper's choice of 8 sets)".to_owned(),
+        workloads: homogeneous(&[WorkloadId::Oracle, WorkloadId::Qry1]),
+        variants: vec![HierarchyVariant::Base],
+        baseline: Some(PrefetcherKind::sms_1k_11a()),
+        kinds: [4, 8, 16, 32]
+            .map(|sets| PrefetcherKind::sms_virtualized(PvConfig::pv8().with_pvcache_sets(sets)))
+            .to_vec(),
+        rows: Rows::PerRun(vec![
+            ("Workload", |p| p.workload()),
+            ("PVCache sets", |p| pv_config(p).pvcache_sets.to_string()),
+            ("Coverage", |p| pct(p.run.coverage.coverage())),
+            ("PVCache hit ratio", |p| {
+                pct(p.run.pv.map(|pv| pv.pvcache_hit_ratio()).unwrap_or(0.0))
+            }),
+            ("L2 request increase", |p| {
+                pct(p.run.l2_request_increase_over(p.base()))
+            }),
+            ("On-chip storage", |p| {
+                let budget = pv_sms::VirtualizedPht::storage_budget(&pv_config(p));
+                format!("{}B", budget.total_bytes())
+            }),
+        ]),
+        note: |_| {
+            "Paper Section 4.3: growing the PVCache from 8 to 16 or 32 sets barely reduces the extra L2 \
+             traffic, so 8 sets is the sweet spot. Coverage should stay flat across the sweep while \
+             storage grows."
+                .to_owned()
+        },
     }
-    runner.prefetch(&specs);
-    let mut rows = Vec::new();
-    for &workload in &workloads() {
-        let dedicated = runner.metrics(&RunSpec::base(workload, PrefetcherKind::sms_1k_11a()));
-        for &sets in &pvcache_sizes() {
-            let pv_config = PvConfig::pv8().with_pvcache_sets(sets);
-            let metrics = runner.metrics(&RunSpec::base(
-                workload,
-                PrefetcherKind::sms_virtualized(pv_config),
-            ));
-            rows.push(PvCacheAblationRow {
-                workload: workload.name().to_owned(),
-                pvcache_sets: sets,
-                coverage: metrics.coverage.coverage(),
-                pvcache_hit_ratio: metrics.pv.map(|pv| pv.pvcache_hit_ratio()).unwrap_or(0.0),
-                l2_request_increase: metrics.l2_request_increase_over(&dedicated),
-                storage_bytes: pv_sms::VirtualizedPht::storage_budget(&pv_config).total_bytes(),
-            });
-        }
-    }
-    rows
 }
 
-/// Renders the ablation report.
-pub fn report(runner: &Runner) -> String {
-    let mut out = String::new();
-    let mut table =
-        Table::new("Ablation — PVCache capacity (supports the paper's choice of 8 sets)");
-    table.header([
-        "Workload",
-        "PVCache sets",
-        "Coverage",
-        "PVCache hit ratio",
-        "L2 request increase",
-        "On-chip storage",
-    ]);
-    for row in pvcache_rows(runner) {
-        table.row([
-            row.workload,
-            row.pvcache_sets.to_string(),
-            pct(row.coverage),
-            pct(row.pvcache_hit_ratio),
-            pct(row.l2_request_increase),
-            format!("{}B", row.storage_bytes),
-        ]);
+/// The virtualization configuration of a pair's SMS-PV run.
+fn pv_config(pair: &Pair) -> PvConfig {
+    match pair.spec.prefetcher {
+        PrefetcherKind::VirtualizedSms { pv, .. } => pv,
+        ref other => unreachable!("the ablation sweeps SMS-PV, not {}", other.label()),
     }
-    table.note(
-        "Paper Section 4.3: growing the PVCache from 8 to 16 or 32 sets barely reduces the extra L2 traffic, so \
-         8 sets is the sweet spot. Coverage should stay flat across the sweep while storage grows.",
-    );
-    out.push_str(&table.render());
+}
 
+/// The set-packing table (Figure 3a layout): static, no simulation.
+pub(crate) fn packing() -> String {
     let mut packing = Table::new("Ablation — set packing (Figure 3a layout)");
     packing.header([
         "Layout",
@@ -125,8 +79,7 @@ pub fn report(runner: &Runner) -> String {
         "Packing a whole 11-way set into one block is what lets a single L2 request deliver every candidate \
          entry for a lookup; an unpacked layout would need 11x the memory requests and 11x the footprint.",
     );
-    out.push_str(&packing.render());
-    out
+    packing.render()
 }
 
 #[cfg(test)]
@@ -135,8 +88,10 @@ mod tests {
 
     #[test]
     fn sweep_definitions_are_consistent() {
-        assert_eq!(pvcache_sizes(), [4, 8, 16, 32]);
-        assert_eq!(workloads().len(), 2);
+        let comparison = comparison();
+        let labels: Vec<String> = comparison.kinds.iter().map(|k| k.label()).collect();
+        assert_eq!(labels, ["SMS-PV4", "SMS-PV8", "SMS-PV16", "SMS-PV32"]);
+        assert_eq!(comparison.workloads.len(), 2);
     }
 
     #[test]

@@ -8,114 +8,66 @@
 //! PVProxy, and the report compares their packed layouts, on-chip budgets
 //! and the predictor-classified memory traffic each induces.
 
-use crate::report::{pct, Table};
-use crate::runner::{RunSpec, Runner};
+use crate::comparison::{homogeneous, Comparison, Pair, Rows};
+use crate::report::pct;
+use crate::runner::HierarchyVariant;
 use pv_core::{PvConfig, PvLayout};
 use pv_markov::{MarkovEntry, VirtualizedMarkov};
 use pv_sim::PrefetcherKind;
 use pv_sms::{SmsEntry, VirtualizedPht};
 use pv_workloads::WorkloadId;
 
-/// One backend-comparison row.
-#[derive(Debug, Clone)]
-pub struct BackendRow {
-    /// Workload name.
-    pub workload: String,
-    /// Backend label (e.g. `"SMS-PV8"`).
-    pub config: String,
-    /// Packed bits per table entry.
-    pub entry_bits: u32,
-    /// Entries per 64-byte PVTable block.
-    pub entries_per_block: usize,
-    /// Dedicated on-chip proxy storage in bytes.
-    pub storage_bytes: u64,
-    /// Prefetch coverage achieved.
-    pub coverage: f64,
-    /// PVProxy memory requests issued.
-    pub pv_memory_requests: u64,
-    /// Predictor-classified L2 requests observed by the hierarchy.
-    pub l2_predictor_requests: u64,
+/// Both virtualized backends (PV-8) on a scan and an OLTP workload.
+pub fn comparison() -> Comparison {
+    Comparison {
+        title: "Backend generality — two predictors, one virtualization substrate (PVProxy, PV-8)"
+            .to_owned(),
+        workloads: homogeneous(&[WorkloadId::Qry1, WorkloadId::Oracle]),
+        variants: vec![HierarchyVariant::Base],
+        baseline: None,
+        kinds: vec![PrefetcherKind::sms_pv8(), PrefetcherKind::markov_pv8()],
+        rows: Rows::PerRun(vec![
+            ("Workload", |p| p.workload()),
+            ("Backend", |p| p.run.configuration.clone()),
+            ("Entry bits", |p| backend(p).0.entry_bits().to_string()),
+            ("Entries/block", |p| {
+                backend(p).0.entries_per_block().to_string()
+            }),
+            ("On-chip storage", |p| format!("{}B", backend(p).1)),
+            ("Coverage", |p| pct(p.run.coverage.coverage())),
+            ("PV memory requests", |p| {
+                let pv = p.run.pv.expect("virtualized run must expose PV stats");
+                pv.memory_requests.to_string()
+            }),
+            ("L2 predictor requests", |p| {
+                p.run.hierarchy.l2_requests.predictor.to_string()
+            }),
+        ]),
+        note: |_| {
+            "Both backends run through the same generic PVProxy; only the PvEntry implementation \
+             differs. The packed geometry (43-bit/11-per-block for SMS, 40-bit/12-per-block for \
+             Markov) and the storage budget are derived from each backend's entry widths, not \
+             hard-coded."
+                .to_owned()
+        },
+    }
 }
 
-/// The workloads compared.
-pub fn workloads() -> [WorkloadId; 2] {
-    [WorkloadId::Qry1, WorkloadId::Oracle]
-}
-
-/// Runs both virtualized backends over the comparison workloads.
-pub fn rows_for(runner: &Runner, workloads: &[WorkloadId]) -> Vec<BackendRow> {
+/// The packed layout and on-chip storage bytes of a pair's backend, both
+/// derived from its entry widths.
+fn backend(pair: &Pair) -> (PvLayout, u64) {
     let pv = PvConfig::pv8();
-    let configs: [(PrefetcherKind, PvLayout, u64); 2] = [
-        (
-            PrefetcherKind::sms_pv8(),
+    match pair.spec.prefetcher {
+        PrefetcherKind::VirtualizedSms { .. } => (
             PvLayout::of::<SmsEntry>(pv.block_bytes),
             VirtualizedPht::storage_budget(&pv).total_bytes(),
         ),
-        (
-            PrefetcherKind::markov_pv8(),
+        PrefetcherKind::VirtualizedMarkov { .. } => (
             PvLayout::of::<MarkovEntry>(pv.block_bytes),
             VirtualizedMarkov::storage_budget(&pv).total_bytes(),
         ),
-    ];
-    let specs: Vec<RunSpec> = workloads
-        .iter()
-        .flat_map(|&w| configs.iter().map(move |(kind, _, _)| RunSpec::base(w, kind.clone())))
-        .collect();
-    runner.prefetch(&specs);
-
-    let mut rows = Vec::new();
-    for &workload in workloads {
-        for (kind, layout, storage_bytes) in &configs {
-            let metrics = runner.metrics(&RunSpec::base(workload, kind.clone()));
-            let pv_stats = metrics.pv.expect("virtualized run must expose PV stats");
-            rows.push(BackendRow {
-                workload: workload.name().to_owned(),
-                config: metrics.configuration.clone(),
-                entry_bits: layout.entry_bits(),
-                entries_per_block: layout.entries_per_block(),
-                storage_bytes: *storage_bytes,
-                coverage: metrics.coverage.coverage(),
-                pv_memory_requests: pv_stats.memory_requests,
-                l2_predictor_requests: metrics.hierarchy.l2_requests.predictor,
-            });
-        }
+        ref other => unreachable!("not a virtualized backend: {}", other.label()),
     }
-    rows
-}
-
-/// Renders the backend-generality report.
-pub fn report(runner: &Runner) -> String {
-    let mut table = Table::new(
-        "Backend generality — two predictors, one virtualization substrate (PVProxy, PV-8)",
-    );
-    table.header([
-        "Workload",
-        "Backend",
-        "Entry bits",
-        "Entries/block",
-        "On-chip storage",
-        "Coverage",
-        "PV memory requests",
-        "L2 predictor requests",
-    ]);
-    for row in rows_for(runner, &workloads()) {
-        table.row([
-            row.workload,
-            row.config,
-            row.entry_bits.to_string(),
-            row.entries_per_block.to_string(),
-            format!("{}B", row.storage_bytes),
-            pct(row.coverage),
-            row.pv_memory_requests.to_string(),
-            row.l2_predictor_requests.to_string(),
-        ]);
-    }
-    table.note(
-        "Both backends run through the same generic PVProxy; only the PvEntry implementation differs. \
-         The packed geometry (43-bit/11-per-block for SMS, 40-bit/12-per-block for Markov) and the \
-         storage budget are derived from each backend's entry widths, not hard-coded.",
-    );
-    table.render()
 }
 
 #[cfg(test)]

@@ -5,18 +5,33 @@
 //! reproduce fig4 fig9 --scale paper
 //! reproduce --list
 //! ```
+//!
+//! A report that cannot be written (a closed pipe, a full disk) exits 1
+//! with the error.
 
-use pv_experiments::{Experiment, Runner, Scale};
+use pv_experiments::{Experiment, Runner, Scale, CATALOGUE};
+use std::io::{self, Write};
 use std::time::Instant;
 
-fn print_usage() {
-    println!("Usage: reproduce [EXPERIMENT...] [--scale quick|paper|smoke] [--threads N] [--list]");
-    println!();
-    println!("Experiments:");
-    for experiment in Experiment::all() {
-        println!("  {}", experiment.name());
+fn usage(out: &mut impl Write) -> io::Result<()> {
+    writeln!(
+        out,
+        "Usage: reproduce [EXPERIMENT...] [--scale quick|paper|smoke] [--threads N] [--list]"
+    )?;
+    writeln!(out)?;
+    writeln!(out, "Experiments:")?;
+    for experiment in CATALOGUE {
+        writeln!(out, "  {}", experiment.name)?;
     }
-    println!("  all        run every experiment");
+    writeln!(out, "  all        run every experiment")
+}
+
+/// Exits 1 when the output cannot be written.
+fn check(result: io::Result<()>) {
+    if let Err(e) = result {
+        eprintln!("reproduce: writing the output failed: {e}");
+        std::process::exit(1);
+    }
 }
 
 fn main() {
@@ -25,18 +40,18 @@ fn main() {
     let mut threads: Option<usize> = None;
     let mut selected: Vec<Experiment> = Vec::new();
     let mut run_all = false;
+    let mut out = io::stdout().lock();
 
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--help" | "-h" => {
-                print_usage();
+                check(usage(&mut out).and_then(|()| out.flush()));
                 return;
             }
             "--list" => {
-                for experiment in Experiment::all() {
-                    println!("{}", experiment.name());
-                }
+                let list = CATALOGUE.iter().try_for_each(|e| writeln!(out, "{}", e.name));
+                check(list.and_then(|()| out.flush()));
                 return;
             }
             "--scale" => {
@@ -64,7 +79,7 @@ fn main() {
                 Some(experiment) => selected.push(experiment),
                 None => {
                     eprintln!("unknown experiment '{name}'");
-                    print_usage();
+                    let _ = usage(&mut out).and_then(|()| out.flush());
                     std::process::exit(2);
                 }
             },
@@ -72,7 +87,7 @@ fn main() {
     }
 
     if run_all || selected.is_empty() {
-        selected = Experiment::all();
+        selected = CATALOGUE.to_vec();
     }
 
     let runner = match threads {
@@ -80,20 +95,19 @@ fn main() {
         None => Runner::with_default_threads(scale),
     };
 
-    println!("# Predictor Virtualization — reproduction report");
-    println!();
-    println!(
-        "Scale: {:?}; experiments: {}",
+    let names: Vec<&str> = selected.iter().map(|e| e.name).collect();
+    check(write!(
+        out,
+        "# Predictor Virtualization — reproduction report\n\nScale: {:?}; experiments: {}\n\n",
         runner.scale(),
-        selected.iter().map(|e| e.name()).collect::<Vec<_>>().join(", ")
-    );
-    println!();
+        names.join(", ")
+    ));
     let start = Instant::now();
     for experiment in selected {
         let t0 = Instant::now();
-        let report = experiment.run(&runner);
-        println!("{report}");
-        eprintln!("[{}] finished in {:.1?}", experiment.name(), t0.elapsed());
+        let report = (experiment.run)(&runner);
+        check(writeln!(out, "{report}").and_then(|()| out.flush()));
+        eprintln!("[{}] finished in {:.1?}", experiment.name, t0.elapsed());
     }
     eprintln!(
         "Total: {:.1?} ({} simulations executed)",

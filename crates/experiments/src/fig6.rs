@@ -1,92 +1,44 @@
 //! Figure 6: percentage increase of L2 memory requests due to
 //! virtualization, as a function of the number of PVCache sets.
 
-use crate::report::{pct, Table};
-use crate::runner::{RunSpec, Runner};
+use crate::comparison::{homogeneous, Comparison, Pair, Rows};
+use crate::report::{mean, pct};
+use crate::runner::HierarchyVariant;
 use pv_sim::PrefetcherKind;
 use pv_workloads::WorkloadId;
 
-/// One bar of Figure 6.
-#[derive(Debug, Clone)]
-pub struct Fig6Row {
-    /// Workload name.
-    pub workload: String,
-    /// Virtualized configuration label (`PV-8`, `PV-16`).
-    pub config: String,
-    /// Relative increase in L2 requests versus the non-virtualized SMS with
-    /// the same (1K-set, 11-way) PHT.
-    pub l2_request_increase: f64,
-    /// PVCache hit ratio of the proxy (diagnostic the paper discusses:
-    /// entries are used once or exhibit very short-term temporal locality).
-    pub pvcache_hit_ratio: f64,
+/// PV-8 and PV-16 against the non-virtualized SMS with the same (1K-set,
+/// 11-way) PHT on every workload. The PVCache hit ratio is the diagnostic
+/// the paper discusses: entries are used once or exhibit very short-term
+/// temporal locality.
+pub fn comparison() -> Comparison {
+    Comparison {
+        title: "Figure 6 — increase of L2 requests due to virtualization".to_owned(),
+        workloads: homogeneous(&WorkloadId::all()),
+        variants: vec![HierarchyVariant::Base],
+        baseline: Some(PrefetcherKind::sms_1k_11a()),
+        kinds: vec![PrefetcherKind::sms_pv8(), PrefetcherKind::sms_pv16()],
+        rows: Rows::PerRun(vec![
+            ("Workload", |p| p.workload()),
+            ("PVCache", |p| p.run.configuration.replace("SMS-", "")),
+            ("L2 request increase", |p| pct(l2_request_increase(p))),
+            ("PVCache hit ratio", |p| {
+                pct(p.run.pv.map(|pv| pv.pvcache_hit_ratio()).unwrap_or(0.0))
+            }),
+        ]),
+        note: |pairs| {
+            let pv8 = pairs.iter().filter(|p| p.run.configuration == "SMS-PV8");
+            format!(
+                "Measured PV-8 average increase: {} (paper: 25%-44% per workload, 33% on average; \
+                 growing the PVCache to 16 sets changes little).",
+                pct(mean(pv8.map(l2_request_increase)))
+            )
+        },
+    }
 }
 
-/// The virtualized configurations Figure 6 compares.
-pub fn configurations() -> Vec<PrefetcherKind> {
-    vec![PrefetcherKind::sms_pv8(), PrefetcherKind::sms_pv16()]
-}
-
-/// Runs the comparison for every workload.
-pub fn rows(runner: &Runner) -> Vec<Fig6Row> {
-    let mut specs: Vec<RunSpec> = Vec::new();
-    for &workload in &WorkloadId::all() {
-        specs.push(RunSpec::base(workload, PrefetcherKind::sms_1k_11a()));
-        for config in configurations() {
-            specs.push(RunSpec::base(workload, config));
-        }
-    }
-    runner.prefetch(&specs);
-    let mut rows = Vec::new();
-    for &workload in &WorkloadId::all() {
-        let dedicated = runner.metrics(&RunSpec::base(workload, PrefetcherKind::sms_1k_11a()));
-        for config in configurations() {
-            let virtualized = runner.metrics(&RunSpec::base(workload, config.clone()));
-            rows.push(Fig6Row {
-                workload: workload.name().to_owned(),
-                config: config.label().replace("SMS-", ""),
-                l2_request_increase: virtualized.l2_request_increase_over(&dedicated),
-                pvcache_hit_ratio: virtualized.pv.map(|pv| pv.pvcache_hit_ratio()).unwrap_or(0.0),
-            });
-        }
-    }
-    rows
-}
-
-/// Renders the Figure 6 report.
-pub fn report(runner: &Runner) -> String {
-    let rows = rows(runner);
-    let mut table = Table::new("Figure 6 — increase of L2 requests due to virtualization");
-    table.header([
-        "Workload",
-        "PVCache",
-        "L2 request increase",
-        "PVCache hit ratio",
-    ]);
-    let mut pv8_total = 0.0;
-    let mut pv8_count = 0;
-    for row in &rows {
-        if row.config == "PV8" {
-            pv8_total += row.l2_request_increase;
-            pv8_count += 1;
-        }
-        table.row([
-            row.workload.clone(),
-            row.config.clone(),
-            pct(row.l2_request_increase),
-            pct(row.pvcache_hit_ratio),
-        ]);
-    }
-    let average = if pv8_count > 0 {
-        pv8_total / pv8_count as f64
-    } else {
-        0.0
-    };
-    table.note(format!(
-        "Measured PV-8 average increase: {} (paper: 25%-44% per workload, 33% on average; growing the PVCache \
-         to 16 sets changes little).",
-        pct(average)
-    ));
-    table.render()
+fn l2_request_increase(pair: &Pair) -> f64 {
+    pair.run.l2_request_increase_over(pair.base())
 }
 
 #[cfg(test)]
@@ -95,7 +47,7 @@ mod tests {
 
     #[test]
     fn two_virtualized_configurations_are_compared() {
-        let labels: Vec<String> = configurations().iter().map(|c| c.label()).collect();
+        let labels: Vec<String> = comparison().kinds.iter().map(|c| c.label()).collect();
         assert_eq!(labels, vec!["SMS-PV8", "SMS-PV16"]);
     }
 }

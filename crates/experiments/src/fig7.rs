@@ -1,110 +1,52 @@
 //! Figure 7: impact of virtualization on off-chip bandwidth, split into L2
 //! misses and L2 write-backs, for PV-8 and PV-16.
 
-use crate::report::{pct, Table};
-use crate::runner::{RunSpec, Runner};
+use crate::comparison::{homogeneous, Comparison, Pair, Rows};
+use crate::report::{mean, pct};
+use crate::runner::HierarchyVariant;
 use pv_sim::PrefetcherKind;
 use pv_workloads::WorkloadId;
 
-/// One bar group of Figure 7.
-#[derive(Debug, Clone)]
-pub struct Fig7Row {
-    /// Workload name.
-    pub workload: String,
-    /// Virtualized configuration (`PV-8`/`PV-16`).
-    pub config: String,
-    /// Increase in L2 misses relative to the non-virtualized SMS baseline's
-    /// total off-chip traffic.
-    pub miss_increase: f64,
-    /// Increase in L2 write-backs relative to the same baseline traffic.
-    pub writeback_increase: f64,
-}
-
-impl Fig7Row {
-    /// Total off-chip bandwidth increase.
-    pub fn total_increase(&self) -> f64 {
-        self.miss_increase + self.writeback_increase
+/// PV-8 and PV-16 against the non-virtualized SMS baseline on every
+/// workload.
+pub fn comparison() -> Comparison {
+    Comparison {
+        title: "Figure 7 — off-chip bandwidth increase due to virtualization".to_owned(),
+        workloads: homogeneous(&WorkloadId::all()),
+        variants: vec![HierarchyVariant::Base],
+        baseline: Some(PrefetcherKind::sms_1k_11a()),
+        kinds: vec![PrefetcherKind::sms_pv8(), PrefetcherKind::sms_pv16()],
+        rows: Rows::PerRun(vec![
+            ("Workload", |p| p.workload()),
+            ("PVCache", |p| p.run.configuration.replace("SMS-", "")),
+            ("L2 miss increase", |p| pct(miss_increase(p))),
+            ("L2 writeback increase", |p| pct(writeback_increase(p))),
+            ("Total", |p| pct(total_increase(p))),
+        ]),
+        note: |pairs| {
+            let pv8 = pairs.iter().filter(|p| p.run.configuration == "SMS-PV8");
+            format!(
+                "Measured PV-8 average off-chip increase: {} (paper: 3.3% on average, at most 6.5%; \
+                 miss increases under 3% and write-back increases under 3.2% for every workload).",
+                pct(mean(pv8.map(total_increase)))
+            )
+        },
     }
 }
 
-/// Runs the comparison for every workload and both PVCache sizes.
-pub fn rows(runner: &Runner) -> Vec<Fig7Row> {
-    let configs = [PrefetcherKind::sms_pv8(), PrefetcherKind::sms_pv16()];
-    let mut specs: Vec<RunSpec> = Vec::new();
-    for &workload in &WorkloadId::all() {
-        specs.push(RunSpec::base(workload, PrefetcherKind::sms_1k_11a()));
-        for config in &configs {
-            specs.push(RunSpec::base(workload, config.clone()));
-        }
-    }
-    runner.prefetch(&specs);
-    let mut rows = Vec::new();
-    for &workload in &WorkloadId::all() {
-        let dedicated = runner.metrics(&RunSpec::base(workload, PrefetcherKind::sms_1k_11a()));
-        let base_offchip = dedicated.offchip_blocks().max(1) as f64;
-        for config in &configs {
-            let virtualized = runner.metrics(&RunSpec::base(workload, config.clone()));
-            let miss_delta = virtualized.hierarchy.l2_misses.total() as f64
-                - dedicated.hierarchy.l2_misses.total() as f64;
-            let writeback_delta = virtualized.hierarchy.l2_writebacks.total() as f64
-                - dedicated.hierarchy.l2_writebacks.total() as f64;
-            rows.push(Fig7Row {
-                workload: workload.name().to_owned(),
-                config: config.label().replace("SMS-", ""),
-                miss_increase: miss_delta / base_offchip,
-                writeback_increase: writeback_delta / base_offchip,
-            });
-        }
-    }
-    rows
+/// Increase in L2 misses relative to the baseline's off-chip traffic.
+pub(crate) fn miss_increase(pair: &Pair) -> f64 {
+    let misses = |run: &pv_sim::RunMetrics| run.hierarchy.l2_misses.total() as f64;
+    pair.offchip_share(misses(&pair.run) - misses(pair.base()))
 }
 
-/// Renders the Figure 7 report.
-pub fn report(runner: &Runner) -> String {
-    let rows = rows(runner);
-    let mut table = Table::new("Figure 7 — off-chip bandwidth increase due to virtualization");
-    table.header([
-        "Workload",
-        "PVCache",
-        "L2 miss increase",
-        "L2 writeback increase",
-        "Total",
-    ]);
-    let mut total = 0.0;
-    let mut count = 0;
-    for row in &rows {
-        if row.config == "PV8" {
-            total += row.total_increase();
-            count += 1;
-        }
-        table.row([
-            row.workload.clone(),
-            row.config.clone(),
-            pct(row.miss_increase),
-            pct(row.writeback_increase),
-            pct(row.total_increase()),
-        ]);
-    }
-    table.note(format!(
-        "Measured PV-8 average off-chip increase: {} (paper: 3.3% on average, at most 6.5%; miss increases \
-         under 3% and write-back increases under 3.2% for every workload).",
-        pct(total / count.max(1) as f64)
-    ));
-    table.render()
+/// Increase in L2 write-backs relative to the baseline's off-chip traffic.
+pub(crate) fn writeback_increase(pair: &Pair) -> f64 {
+    let writebacks = |run: &pv_sim::RunMetrics| run.hierarchy.l2_writebacks.total() as f64;
+    pair.offchip_share(writebacks(&pair.run) - writebacks(pair.base()))
 }
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn total_is_sum_of_components() {
-        let row = Fig7Row {
-            workload: "x".into(),
-            config: "PV8".into(),
-            miss_increase: 0.01,
-            writeback_increase: 0.02,
-        };
-        assert!((row.total_increase() - 0.03).abs() < 1e-12);
-    }
+/// Total off-chip bandwidth increase.
+pub(crate) fn total_increase(pair: &Pair) -> f64 {
+    miss_increase(pair) + writeback_increase(pair)
 }

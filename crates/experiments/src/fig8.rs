@@ -6,132 +6,75 @@
 //! and almost all PVProxy requests are filled from the L2, so very little
 //! predictor data travels off-chip.
 
-use crate::report::{pct, Table};
-use crate::runner::{RunSpec, Runner};
-use pv_sim::PrefetcherKind;
+use crate::comparison::{homogeneous, Comparison, Rows};
+use crate::report::{mean, pct};
+use crate::runner::HierarchyVariant;
+use pv_sim::{PrefetcherKind, RunMetrics};
 use pv_workloads::WorkloadId;
 
-/// One workload's Figure 8 decomposition.
-#[derive(Debug, Clone)]
-pub struct Fig8Row {
-    /// Workload name.
-    pub workload: String,
-    /// Increase in off-chip L2 misses due to application data, relative to
-    /// the non-virtualized configuration's off-chip traffic.
-    pub miss_increase_app: f64,
-    /// Increase in off-chip L2 misses due to predictor data.
-    pub miss_increase_pv: f64,
-    /// Increase in off-chip write-backs due to application data.
-    pub writeback_increase_app: f64,
-    /// Increase in off-chip write-backs due to predictor data.
-    pub writeback_increase_pv: f64,
-    /// Fraction of PVProxy memory requests satisfied on chip (by the L2).
-    pub pv_requests_filled_by_l2: f64,
+/// PV-8 against the non-virtualized SMS on every workload. Every increase
+/// is relative to the non-virtualized run's off-chip traffic.
+pub fn comparison() -> Comparison {
+    Comparison {
+        title: "Figure 8 — PV-8 off-chip traffic increase split into application and PV data"
+            .to_owned(),
+        workloads: homogeneous(&WorkloadId::all()),
+        variants: vec![HierarchyVariant::Base],
+        baseline: Some(PrefetcherKind::sms_1k_11a()),
+        kinds: vec![PrefetcherKind::sms_pv8()],
+        rows: Rows::PerRun(vec![
+            ("Workload", |p| p.workload()),
+            ("L2 misses (app)", |p| {
+                let misses = |run: &RunMetrics| run.hierarchy.l2_misses.application as f64;
+                pct(p.offchip_share(misses(&p.run) - misses(p.base())))
+            }),
+            ("L2 misses (PV)", |p| {
+                pct(p.offchip_share(p.run.hierarchy.l2_misses.predictor as f64))
+            }),
+            ("Writebacks (app)", |p| {
+                let writebacks = |run: &RunMetrics| run.hierarchy.l2_writebacks.application as f64;
+                pct(p.offchip_share(writebacks(&p.run) - writebacks(p.base())))
+            }),
+            ("Writebacks (PV)", |p| {
+                pct(p.offchip_share(p.run.hierarchy.l2_writebacks.predictor as f64))
+            }),
+            ("PV requests filled on chip", |p| {
+                pct(filled_on_chip(&p.run))
+            }),
+        ]),
+        note: |pairs| {
+            format!(
+                "Measured mean fraction of PVProxy requests filled by the L2: {} (paper: more than 98% \
+                 across all applications; application-data misses grow by ~1% on average, at most \
+                 2.5%).",
+                pct(mean(pairs.iter().map(|p| filled_on_chip(&p.run))))
+            )
+        },
+    }
 }
 
-/// Runs the PV-8 decomposition for every workload.
-pub fn rows(runner: &Runner) -> Vec<Fig8Row> {
-    let mut specs: Vec<RunSpec> = Vec::new();
-    for &workload in &WorkloadId::all() {
-        specs.push(RunSpec::base(workload, PrefetcherKind::sms_1k_11a()));
-        specs.push(RunSpec::base(workload, PrefetcherKind::sms_pv8()));
+/// Fraction of PVProxy memory requests satisfied on chip (by the L2).
+fn filled_on_chip(run: &RunMetrics) -> f64 {
+    let requests = &run.hierarchy.l2_requests;
+    if requests.predictor == 0 {
+        0.0
+    } else {
+        1.0 - run.hierarchy.l2_misses.predictor as f64 / requests.predictor as f64
     }
-    runner.prefetch(&specs);
-    WorkloadId::all()
-        .iter()
-        .map(|&workload| {
-            let dedicated = runner.metrics(&RunSpec::base(workload, PrefetcherKind::sms_1k_11a()));
-            let pv = runner.metrics(&RunSpec::base(workload, PrefetcherKind::sms_pv8()));
-            let base = dedicated.offchip_blocks().max(1) as f64;
-            let miss_app = pv.hierarchy.l2_misses.application as f64
-                - dedicated.hierarchy.l2_misses.application as f64;
-            let miss_pv = pv.hierarchy.l2_misses.predictor as f64;
-            let wb_app = pv.hierarchy.l2_writebacks.application as f64
-                - dedicated.hierarchy.l2_writebacks.application as f64;
-            let wb_pv = pv.hierarchy.l2_writebacks.predictor as f64;
-            let filled_on_chip = if pv.hierarchy.l2_requests.predictor == 0 {
-                0.0
-            } else {
-                1.0 - pv.hierarchy.l2_misses.predictor as f64
-                    / pv.hierarchy.l2_requests.predictor as f64
-            };
-            Fig8Row {
-                workload: workload.name().to_owned(),
-                miss_increase_app: miss_app / base,
-                miss_increase_pv: miss_pv / base,
-                writeback_increase_app: wb_app / base,
-                writeback_increase_pv: wb_pv / base,
-                pv_requests_filled_by_l2: filled_on_chip,
-            }
-        })
-        .collect()
-}
-
-/// Renders the Figure 8 report.
-pub fn report(runner: &Runner) -> String {
-    let rows = rows(runner);
-    let mut table =
-        Table::new("Figure 8 — PV-8 off-chip traffic increase split into application and PV data");
-    table.header([
-        "Workload",
-        "L2 misses (app)",
-        "L2 misses (PV)",
-        "Writebacks (app)",
-        "Writebacks (PV)",
-        "PV requests filled on chip",
-    ]);
-    let mut filled = 0.0;
-    for row in &rows {
-        filled += row.pv_requests_filled_by_l2;
-        table.row([
-            row.workload.clone(),
-            pct(row.miss_increase_app),
-            pct(row.miss_increase_pv),
-            pct(row.writeback_increase_app),
-            pct(row.writeback_increase_pv),
-            pct(row.pv_requests_filled_by_l2),
-        ]);
-    }
-    table.note(format!(
-        "Measured mean fraction of PVProxy requests filled by the L2: {} (paper: more than 98% across all \
-         applications; application-data misses grow by ~1% on average, at most 2.5%).",
-        pct(filled / rows.len().max(1) as f64)
-    ));
-    table.render()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Scale;
+    use crate::runner::{Runner, Scale};
 
     #[test]
     fn smoke_run_shows_pv_data_served_from_l2() {
         let runner = Runner::new(Scale::Smoke, 4);
-        let rows = rows_for_one(&runner, WorkloadId::Qry1);
+        let pairs = comparison().on(&[WorkloadId::Qry1]).pairs(&runner);
         assert!(
-            rows.pv_requests_filled_by_l2 > 0.5,
+            filled_on_chip(&pairs[0].run) > 0.5,
             "most PV requests should be L2 hits"
         );
-    }
-
-    /// Helper used by the smoke test: single-workload version of [`rows`].
-    fn rows_for_one(runner: &Runner, workload: WorkloadId) -> Fig8Row {
-        let dedicated = runner.metrics(&RunSpec::base(workload, PrefetcherKind::sms_1k_11a()));
-        let pv = runner.metrics(&RunSpec::base(workload, PrefetcherKind::sms_pv8()));
-        let base = dedicated.offchip_blocks().max(1) as f64;
-        Fig8Row {
-            workload: workload.name().to_owned(),
-            miss_increase_app: 0.0,
-            miss_increase_pv: pv.hierarchy.l2_misses.predictor as f64 / base,
-            writeback_increase_app: 0.0,
-            writeback_increase_pv: pv.hierarchy.l2_writebacks.predictor as f64 / base,
-            pv_requests_filled_by_l2: if pv.hierarchy.l2_requests.predictor == 0 {
-                0.0
-            } else {
-                1.0 - pv.hierarchy.l2_misses.predictor as f64
-                    / pv.hierarchy.l2_requests.predictor as f64
-            },
-        }
     }
 }

@@ -5,96 +5,42 @@
 //! paper's headline result: SMS-PV8 matches SMS-1K (19% vs 18% average
 //! speedup) while the small dedicated tables achieve only about half.
 
-use crate::report::{pct, Table};
-use crate::runner::{RunSpec, Runner};
+use crate::comparison::{homogeneous, Comparison, Rows};
+use crate::runner::HierarchyVariant;
 use pv_sim::PrefetcherKind;
 use pv_workloads::WorkloadId;
 
-/// One workload's Figure 9 bars.
-#[derive(Debug, Clone)]
-pub struct Fig9Row {
-    /// Workload name.
-    pub workload: String,
-    /// Speedup of each configuration over the no-prefetch baseline, in the
-    /// order of [`configurations`].
-    pub speedups: Vec<f64>,
-}
-
-/// The configurations compared in Figure 9, in the paper's order.
-pub fn configurations() -> Vec<PrefetcherKind> {
-    vec![
-        PrefetcherKind::sms_1k_11a(),
-        PrefetcherKind::sms_16_11a(),
-        PrefetcherKind::sms_8_11a(),
-        PrefetcherKind::sms_pv8(),
-    ]
-}
-
-/// Runs the speedup comparison for every workload.
-pub fn rows(runner: &Runner) -> Vec<Fig9Row> {
-    rows_for(runner, &WorkloadId::all())
-}
-
-/// Runs the speedup comparison for a subset of workloads.
-pub fn rows_for(runner: &Runner, workloads: &[WorkloadId]) -> Vec<Fig9Row> {
-    let mut specs: Vec<RunSpec> = Vec::new();
-    for &workload in workloads {
-        specs.push(RunSpec::base(workload, PrefetcherKind::None));
-        for config in configurations() {
-            specs.push(RunSpec::base(workload, config));
-        }
+/// Every workload's speedup under each configuration, in the paper's
+/// order, plus the average over workloads.
+pub fn comparison() -> Comparison {
+    Comparison {
+        title: "Figure 9 — speedup over the no-prefetch baseline".to_owned(),
+        workloads: homogeneous(&WorkloadId::all()),
+        variants: vec![HierarchyVariant::Base],
+        baseline: Some(PrefetcherKind::None),
+        kinds: vec![
+            PrefetcherKind::sms_1k_11a(),
+            PrefetcherKind::sms_16_11a(),
+            PrefetcherKind::sms_8_11a(),
+            PrefetcherKind::sms_pv8(),
+        ],
+        rows: Rows::PerWorkload {
+            columns: vec![
+                ("SMS-1K", |p| p[0].speedup()),
+                ("SMS-16", |p| p[1].speedup()),
+                ("SMS-8", |p| p[2].speedup()),
+                ("SMS-PV8", |p| p[3].speedup()),
+            ],
+            average: true,
+        },
+        note: |_| {
+            "Paper shape: SMS-PV8 matches SMS-1K (19% vs 18% average), the small dedicated tables \
+             reach only about half of that, and Apache gains nothing from the small tables. Absolute \
+             speedups here are larger than the paper's because the trace-driven cores expose more of \
+             each miss's latency (see EXPERIMENTS.md)."
+                .to_owned()
+        },
     }
-    runner.prefetch(&specs);
-    workloads
-        .iter()
-        .map(|&workload| {
-            let baseline = runner.metrics(&RunSpec::base(workload, PrefetcherKind::None));
-            let speedups = configurations()
-                .into_iter()
-                .map(|config| {
-                    runner.metrics(&RunSpec::base(workload, config)).speedup_over(&baseline)
-                })
-                .collect();
-            Fig9Row {
-                workload: workload.name().to_owned(),
-                speedups,
-            }
-        })
-        .collect()
-}
-
-/// Renders the Figure 9 report.
-pub fn report(runner: &Runner) -> String {
-    let rows = rows(runner);
-    let mut table = Table::new("Figure 9 — speedup over the no-prefetch baseline");
-    table.header(["Workload", "SMS-1K", "SMS-16", "SMS-8", "SMS-PV8"]);
-    let mut sums = [0.0; 4];
-    for row in &rows {
-        for (i, s) in row.speedups.iter().enumerate() {
-            sums[i] += s;
-        }
-        table.row([
-            row.workload.clone(),
-            pct(row.speedups[0]),
-            pct(row.speedups[1]),
-            pct(row.speedups[2]),
-            pct(row.speedups[3]),
-        ]);
-    }
-    let n = rows.len().max(1) as f64;
-    table.row([
-        "Average".to_owned(),
-        pct(sums[0] / n),
-        pct(sums[1] / n),
-        pct(sums[2] / n),
-        pct(sums[3] / n),
-    ]);
-    table.note(
-        "Paper shape: SMS-PV8 matches SMS-1K (19% vs 18% average), the small dedicated tables reach only about \
-         half of that, and Apache gains nothing from the small tables. Absolute speedups here are larger than \
-         the paper's because the trace-driven cores expose more of each miss's latency (see EXPERIMENTS.md).",
-    );
-    table.render()
 }
 
 #[cfg(test)]
@@ -103,7 +49,7 @@ mod tests {
 
     #[test]
     fn four_configurations_in_paper_order() {
-        let labels: Vec<String> = configurations().iter().map(|c| c.label()).collect();
+        let labels: Vec<String> = comparison().kinds.iter().map(|c| c.label()).collect();
         assert_eq!(
             labels,
             vec!["SMS-1K-11a", "SMS-16-11a", "SMS-8-11a", "SMS-PV8"]

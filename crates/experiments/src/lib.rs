@@ -1,9 +1,14 @@
 //! # pv-experiments — reproduction harness
 //!
-//! One module per table/figure of the paper's evaluation (Section 4), plus a
-//! shared [`Runner`] that executes and caches simulation runs, and report
-//! helpers that render each experiment as a markdown table with the paper's
-//! reference values alongside the measured ones.
+//! Every experiment is an entry of one [`CATALOGUE`] of named cases over a
+//! shared [`Runner`] that executes and caches simulation runs. Most of the
+//! paper's evaluation (Section 4) compares prefetcher kinds against a
+//! baseline kind over a set of workloads; each such experiment is a
+//! [`Comparison`] value — workloads, hierarchy variants, baseline and
+//! compared kinds, named columns and a note — that one engine runs and
+//! renders as a markdown table with the paper's reference values alongside
+//! the measured ones. The static tables (`table1`–`table3`, `sec46`) and the
+//! scenario studies (`scenarios`, `repartition`) render their own reports.
 //!
 //! The `reproduce` binary drives everything:
 //!
@@ -12,8 +17,8 @@
 //! cargo run --release -p pv-experiments --bin reproduce -- fig9 --scale paper
 //! ```
 //!
-//! Every experiment is also exposed as a library function so the
-//! integration tests can call it directly.
+//! The integration tests run the same comparisons, often on fewer
+//! workloads ([`Comparison::on`]), and read the finished [`Pair`]s.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -22,6 +27,7 @@ pub mod ablation;
 pub mod backends;
 pub mod bandwidth;
 pub mod cohabit;
+pub mod comparison;
 pub mod fig10;
 pub mod fig11;
 pub mod fig4;
@@ -42,142 +48,57 @@ pub mod table2;
 pub mod table3;
 pub mod throttle;
 
+pub use comparison::{Comparison, Pair};
 pub use fleet::{run_fleet, FleetGrid, FleetPoint, FleetSummary};
 pub use report::Table;
 pub use runner::{HierarchyVariant, RunSpec, Runner, Scale, Workload};
 
-/// Identifier of one reproducible experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Experiment {
-    /// Table 1: system configuration.
-    Table1,
-    /// Table 2: workloads.
-    Table2,
-    /// Table 3: PHT storage per configuration.
-    Table3,
-    /// Figure 4: SMS performance potential vs PHT size.
-    Fig4,
-    /// Figure 5: coverage across all intermediate PHT sizes.
-    Fig5,
-    /// Figure 6: increase in L2 requests due to virtualization.
-    Fig6,
-    /// Figure 7: off-chip bandwidth increase (L2 misses + write-backs).
-    Fig7,
-    /// Figure 8: off-chip increase split into application vs PV data.
-    Fig8,
-    /// Figure 9: speedup of dedicated and virtualized prefetchers.
-    Fig9,
-    /// Figure 10: sensitivity to L2 cache size.
-    Fig10,
-    /// Figure 11: sensitivity to L2 latency.
-    Fig11,
-    /// Section 4.6: PVProxy storage breakdown.
-    Sec46,
-    /// Ablation studies beyond the paper's figures.
-    Ablation,
-    /// Backend generality: SMS and Markov on the same substrate.
-    Backends,
-    /// Bandwidth sensitivity under queued DRAM contention.
-    Bandwidth,
-    /// Heterogeneous multi-programmed workload mixes.
-    Mixes,
-    /// Predictor cohabitation: SMS + Markov sharing one PV region and one
-    /// PVCache (dedicated vs shared provisioning).
-    Cohabit,
-    /// Feedback-directed throttling: fixed vs adaptive issue degree under
-    /// queued DRAM contention.
-    Throttle,
-    /// Non-stationary scenarios: phase flips, flash crowds, diurnal load,
-    /// and an antagonist core (trace-composed workloads).
-    Scenarios,
-    /// Dynamic PV-region repartitioning: static vs utility-driven sub-region
-    /// boundaries on a scarce region, across non-stationary scenarios.
-    Repartition,
+/// One reproducible experiment: its command-line name and the function
+/// that runs it and renders its report.
+#[derive(Debug, Clone, Copy)]
+pub struct Experiment {
+    /// Command-line name (e.g. `"fig4"`).
+    pub name: &'static str,
+    /// Runs the experiment and renders its report.
+    pub run: fn(&Runner) -> String,
 }
 
+/// Every experiment, in presentation order: the paper's tables and figures
+/// (Section 4), then the studies beyond them.
+pub const CATALOGUE: &[Experiment] = &[
+    Experiment::new("table1", |_| table1::report()),
+    Experiment::new("table2", |_| table2::report()),
+    Experiment::new("table3", |_| table3::report()),
+    Experiment::new("fig4", |runner| fig4::comparison().report(runner)),
+    Experiment::new("fig5", |runner| fig5::comparison().report(runner)),
+    Experiment::new("fig6", |runner| fig6::comparison().report(runner)),
+    Experiment::new("fig7", |runner| fig7::comparison().report(runner)),
+    Experiment::new("fig8", |runner| fig8::comparison().report(runner)),
+    Experiment::new("fig9", |runner| fig9::comparison().report(runner)),
+    Experiment::new("fig10", |runner| fig10::comparison().report(runner)),
+    Experiment::new("fig11", |runner| fig11::comparison().report(runner)),
+    Experiment::new("sec46", |_| sec46::report()),
+    Experiment::new("ablation", |runner| {
+        ablation::comparison().report(runner) + &ablation::packing()
+    }),
+    Experiment::new("backends", |runner| backends::comparison().report(runner)),
+    Experiment::new("bandwidth", |runner| bandwidth::comparison().report(runner)),
+    Experiment::new("mixes", |runner| mixes::comparison().report(runner)),
+    Experiment::new("cohabit", |runner| cohabit::comparison().report(runner)),
+    Experiment::new("throttle", |runner| throttle::comparison().report(runner)),
+    Experiment::new("scenarios", scenarios::report),
+    Experiment::new("repartition", repartition::report),
+];
+
 impl Experiment {
-    /// Every experiment, in presentation order.
-    pub fn all() -> Vec<Experiment> {
-        use Experiment::*;
-        vec![
-            Table1,
-            Table2,
-            Table3,
-            Fig4,
-            Fig5,
-            Fig6,
-            Fig7,
-            Fig8,
-            Fig9,
-            Fig10,
-            Fig11,
-            Sec46,
-            Ablation,
-            Backends,
-            Bandwidth,
-            Mixes,
-            Cohabit,
-            Throttle,
-            Scenarios,
-            Repartition,
-        ]
+    /// The entry `name`, run by `run`.
+    pub const fn new(name: &'static str, run: fn(&Runner) -> String) -> Self {
+        Experiment { name, run }
     }
 
-    /// Command-line name (e.g. `"fig4"`).
-    pub fn name(self) -> &'static str {
-        match self {
-            Experiment::Table1 => "table1",
-            Experiment::Table2 => "table2",
-            Experiment::Table3 => "table3",
-            Experiment::Fig4 => "fig4",
-            Experiment::Fig5 => "fig5",
-            Experiment::Fig6 => "fig6",
-            Experiment::Fig7 => "fig7",
-            Experiment::Fig8 => "fig8",
-            Experiment::Fig9 => "fig9",
-            Experiment::Fig10 => "fig10",
-            Experiment::Fig11 => "fig11",
-            Experiment::Sec46 => "sec46",
-            Experiment::Ablation => "ablation",
-            Experiment::Backends => "backends",
-            Experiment::Bandwidth => "bandwidth",
-            Experiment::Mixes => "mixes",
-            Experiment::Cohabit => "cohabit",
-            Experiment::Throttle => "throttle",
-            Experiment::Scenarios => "scenarios",
-            Experiment::Repartition => "repartition",
-        }
-    }
-
-    /// Parses a command-line name.
+    /// The catalogue entry named `name`.
     pub fn from_name(name: &str) -> Option<Experiment> {
-        Experiment::all().into_iter().find(|e| e.name() == name)
-    }
-
-    /// Runs the experiment and renders its report.
-    pub fn run(self, runner: &Runner) -> String {
-        match self {
-            Experiment::Table1 => table1::report(),
-            Experiment::Table2 => table2::report(),
-            Experiment::Table3 => table3::report(),
-            Experiment::Fig4 => fig4::report(runner),
-            Experiment::Fig5 => fig5::report(runner),
-            Experiment::Fig6 => fig6::report(runner),
-            Experiment::Fig7 => fig7::report(runner),
-            Experiment::Fig8 => fig8::report(runner),
-            Experiment::Fig9 => fig9::report(runner),
-            Experiment::Fig10 => fig10::report(runner),
-            Experiment::Fig11 => fig11::report(runner),
-            Experiment::Sec46 => sec46::report(),
-            Experiment::Ablation => ablation::report(runner),
-            Experiment::Backends => backends::report(runner),
-            Experiment::Bandwidth => bandwidth::report(runner),
-            Experiment::Mixes => mixes::report(runner),
-            Experiment::Cohabit => cohabit::report(runner),
-            Experiment::Throttle => throttle::report(runner),
-            Experiment::Scenarios => scenarios::report(runner),
-            Experiment::Repartition => repartition::report(runner),
-        }
+        CATALOGUE.iter().find(|e| e.name == name).copied()
     }
 }
 
@@ -187,10 +108,22 @@ mod tests {
 
     #[test]
     fn experiment_names_round_trip() {
-        for experiment in Experiment::all() {
-            assert_eq!(Experiment::from_name(experiment.name()), Some(experiment));
+        let mut names: Vec<&str> = CATALOGUE.iter().map(|e| e.name).collect();
+        for name in &names {
+            assert_eq!(Experiment::from_name(name).map(|e| e.name), Some(*name));
         }
-        assert_eq!(Experiment::from_name("fig99"), None);
+        assert!(Experiment::from_name("fig99").is_none());
+        assert!(
+            Experiment::from_name("all").is_none(),
+            "`all` is the CLI's, not an entry"
+        );
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(
+            names.len(),
+            CATALOGUE.len(),
+            "catalogue names must be unique"
+        );
     }
 
     #[test]

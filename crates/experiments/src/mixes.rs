@@ -11,103 +11,56 @@
 //! speeds up the most, while the OLTP cores see little change but share
 //! their L2 with everyone else's prefetches.
 
-use crate::report::{pct, Table};
-use crate::runner::{RunSpec, Runner};
+use crate::comparison::{Comparison, Rows};
+use crate::report::pct;
+use crate::runner::{HierarchyVariant, Workload};
 use pv_sim::PrefetcherKind;
 use pv_workloads::WorkloadId;
 
 /// The canonical heterogeneous mix: web + OLTP + two DSS queries.
-pub fn canonical_mix() -> [WorkloadId; 4] {
-    [
-        WorkloadId::Apache,
-        WorkloadId::Db2,
-        WorkloadId::Qry1,
-        WorkloadId::Qry17,
-    ]
-}
+const CANONICAL_MIX: [WorkloadId; 4] = [
+    WorkloadId::Apache,
+    WorkloadId::Db2,
+    WorkloadId::Qry1,
+    WorkloadId::Qry17,
+];
 
-/// One mix row: a prefetcher configuration over the canonical mix.
-#[derive(Debug, Clone)]
-pub struct MixRow {
-    /// Prefetcher label.
-    pub config: String,
-    /// IPC of each core (core `i` runs `canonical_mix()[i]`).
-    pub per_core_ipc: Vec<f64>,
-    /// Aggregate IPC (committed instructions / elapsed cycles).
-    pub aggregate_ipc: f64,
-    /// Prefetch coverage across the whole mix.
-    pub coverage: f64,
-    /// Predictor-classified L2 requests (zero for non-virtualized rows).
-    pub l2_predictor_requests: u64,
-}
-
-/// The prefetcher configurations compared over the mix.
-fn configurations() -> [PrefetcherKind; 3] {
-    [
-        PrefetcherKind::None,
-        PrefetcherKind::sms_1k_11a(),
-        PrefetcherKind::sms_pv8(),
-    ]
-}
-
-/// Runs the canonical mix under every configuration.
-pub fn rows(runner: &Runner) -> Vec<MixRow> {
-    let specs: Vec<RunSpec> = configurations()
-        .into_iter()
-        .map(|prefetcher| RunSpec::base(canonical_mix(), prefetcher))
-        .collect();
-    runner.prefetch(&specs);
-    specs
-        .iter()
-        .map(|spec| {
-            let metrics = runner.metrics(spec);
-            MixRow {
-                config: metrics.configuration.clone(),
-                per_core_ipc: metrics.per_core_ipc.clone(),
-                aggregate_ipc: metrics.aggregate_ipc(),
-                coverage: metrics.coverage.coverage(),
-                l2_predictor_requests: metrics.hierarchy.l2_requests.predictor,
-            }
-        })
-        .collect()
-}
-
-/// Renders the heterogeneous-mix report.
-pub fn report(runner: &Runner) -> String {
-    let mix = canonical_mix();
-    let mut table = Table::new(format!(
-        "Heterogeneous mix — {} sharing one L2 and memory",
-        mix.iter().map(|w| w.name()).collect::<Vec<_>>().join("+")
-    ));
-    table.header([
-        "Config",
-        "IPC Apache",
-        "IPC DB2",
-        "IPC Qry1",
-        "IPC Qry17",
-        "Aggregate IPC",
-        "Coverage",
-        "L2 PV requests",
-    ]);
-    for row in rows(runner) {
-        table.row([
-            row.config.clone(),
-            format!("{:.3}", row.per_core_ipc[0]),
-            format!("{:.3}", row.per_core_ipc[1]),
-            format!("{:.3}", row.per_core_ipc[2]),
-            format!("{:.3}", row.per_core_ipc[3]),
-            format!("{:.3}", row.aggregate_ipc),
-            pct(row.coverage),
-            row.l2_predictor_requests.to_string(),
-        ]);
+/// The canonical mix under no prefetching, the dedicated-table SMS and
+/// SMS-PV8; core `i` runs the mix's `i`-th workload.
+pub fn comparison() -> Comparison {
+    Comparison {
+        title: format!(
+            "Heterogeneous mix — {} sharing one L2 and memory",
+            CANONICAL_MIX.map(|w| w.name()).join("+")
+        ),
+        workloads: vec![Workload::Mix(CANONICAL_MIX)],
+        variants: vec![HierarchyVariant::Base],
+        baseline: None,
+        kinds: vec![
+            PrefetcherKind::None,
+            PrefetcherKind::sms_1k_11a(),
+            PrefetcherKind::sms_pv8(),
+        ],
+        rows: Rows::PerRun(vec![
+            ("Config", |p| p.run.configuration.clone()),
+            ("IPC Apache", |p| format!("{:.3}", p.run.per_core_ipc[0])),
+            ("IPC DB2", |p| format!("{:.3}", p.run.per_core_ipc[1])),
+            ("IPC Qry1", |p| format!("{:.3}", p.run.per_core_ipc[2])),
+            ("IPC Qry17", |p| format!("{:.3}", p.run.per_core_ipc[3])),
+            ("Aggregate IPC", |p| format!("{:.3}", p.run.aggregate_ipc())),
+            ("Coverage", |p| pct(p.run.coverage.coverage())),
+            ("L2 PV requests", |p| {
+                p.run.hierarchy.l2_requests.predictor.to_string()
+            }),
+        ]),
+        note: |_| {
+            "Core i runs the i-th workload of the mix (System::new_mixed); all cores share the L2 \
+             and DRAM. Workloads differ per core, so per-core IPCs are asymmetric: the scan query \
+             gains the most from prefetching while the web/OLTP cores are bounded by their irregular \
+             access components."
+                .to_owned()
+        },
     }
-    table.note(
-        "Core i runs the i-th workload of the mix (System::new_mixed); all cores share the L2 \
-         and DRAM. Workloads differ per core, so per-core IPCs are asymmetric: the scan query \
-         gains the most from prefetching while the web/OLTP cores are bounded by their irregular \
-         access components.",
-    );
-    table.render()
 }
 
 #[cfg(test)]
@@ -116,8 +69,7 @@ mod tests {
 
     #[test]
     fn canonical_mix_is_heterogeneous() {
-        let mix = canonical_mix();
-        let mut names: Vec<&str> = mix.iter().map(|w| w.name()).collect();
+        let mut names: Vec<&str> = CANONICAL_MIX.iter().map(|w| w.name()).collect();
         names.sort_unstable();
         names.dedup();
         assert_eq!(

@@ -55,16 +55,6 @@ impl Table {
         self
     }
 
-    /// Number of data rows so far.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// Renders the table as markdown.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -108,6 +98,12 @@ pub fn pct(ratio: f64) -> String {
     format!("{:.1}%", ratio * 100.0)
 }
 
+/// The mean of `values`, or 0 when there are none.
+pub(crate) fn mean(values: impl IntoIterator<Item = f64>) -> f64 {
+    let (sum, count) = values.into_iter().fold((0.0, 0), |(sum, count), v| (sum + v, count + 1));
+    sum / (count as f64).max(1.0)
+}
+
 /// Formats a byte count the way the paper writes storage sizes
 /// (kilobytes with three decimals above 1 KB, bytes below).
 pub fn bytes(value: u64) -> String {
@@ -134,14 +130,14 @@ mod tests {
         assert!(rendered.contains("| a "));
         assert!(rendered.contains("| longer | 4"));
         assert!(rendered.contains("> a note"));
-        assert_eq!(table.len(), 2);
-        assert!(!table.is_empty());
     }
 
     #[test]
     fn pct_and_bytes_format() {
         assert_eq!(pct(0.1844), "18.4%");
         assert_eq!(pct(0.0), "0.0%");
+        assert_eq!(mean([0.25, 0.5]), 0.375);
+        assert_eq!(mean([]), 0.0);
         assert_eq!(bytes(889), "889B");
         assert_eq!(bytes(60_544), "59.125KB");
     }

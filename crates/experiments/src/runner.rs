@@ -17,7 +17,7 @@ pub enum Scale {
     /// The full windows used for the numbers recorded in `EXPERIMENTS.md`
     /// (see that file at the repository root for how each scale is used).
     Paper,
-    /// Very short windows for unit/integration tests and Criterion benches.
+    /// Very short windows for unit/integration tests, CI and perfbench.
     Smoke,
 }
 

@@ -1,6 +1,6 @@
 //! The `reproduce` and `fleet` binaries reject bad arguments with exit 2
-//! before running anything, and `fleet` reports a sink that fails as an
-//! error (exit 1), never as a panic or a silent success.
+//! before running anything, and report an output that fails as an error
+//! (exit 1), never as a panic or a silent success.
 
 use std::process::{Command, Output, Stdio};
 
@@ -53,6 +53,61 @@ fn reproduce_rejects_an_unknown_scale() {
         output.stdout.is_empty(),
         "a rejected run must print no report"
     );
+}
+
+/// The static experiments: they print without running a simulation.
+const STATIC_EXPERIMENTS: [&str; 4] = ["table1", "table2", "table3", "sec46"];
+
+#[test]
+fn reproduce_lists_the_catalogue_in_presentation_order() {
+    let output = run(env!("CARGO_BIN_EXE_reproduce"), &["--list"]);
+    assert_eq!(output.status.code(), Some(0), "stderr: {}", stderr(&output));
+    let listed = String::from_utf8(output.stdout).expect("names are UTF-8");
+    let catalogue: Vec<&str> = pv_experiments::CATALOGUE.iter().map(|e| e.name).collect();
+    assert_eq!(listed.lines().collect::<Vec<_>>(), catalogue);
+    assert_eq!(catalogue.first(), Some(&"table1"));
+    assert_eq!(catalogue.last(), Some(&"repartition"));
+}
+
+#[test]
+fn reproduce_reports_a_full_disk_instead_of_exiting_0() {
+    let Ok(full) = std::fs::File::create("/dev/full") else {
+        return;
+    };
+    let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(STATIC_EXPERIMENTS)
+        .stdin(Stdio::null())
+        .stdout(full)
+        .output()
+        .expect("reproduce starts");
+    let stderr = stderr(&output);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("reproduce: writing the output failed"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+}
+
+#[test]
+fn reproduce_reports_a_closed_pipe_instead_of_panicking() {
+    // Close the read end before the binary starts, so its first write
+    // fails however fast it prints.
+    let (reader, writer) = std::io::pipe().expect("a pipe");
+    drop(reader);
+    let output = Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(STATIC_EXPERIMENTS)
+        .stdin(Stdio::null())
+        .stdout(writer)
+        .output()
+        .expect("reproduce starts");
+    let stderr = stderr(&output);
+    assert_eq!(output.status.code(), Some(1), "stderr: {stderr}");
+    assert!(
+        stderr.contains("reproduce: writing the output failed"),
+        "stderr: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //! — on every core.
 
 use pv_core::{PvConfig, PvRegionPlan, SharedPvProxy};
-use pv_experiments::{cohabit, HierarchyVariant, RunSpec, Runner, Scale};
+use pv_experiments::{cohabit, HierarchyVariant, Pair, RunSpec, Runner, Scale};
 use pv_markov::{MarkovIndex, NextAddrStorage, VirtualizedMarkov};
 use pv_mem::{ContentionModel, HierarchyConfig, MemoryHierarchy};
 use pv_sim::PrefetcherKind;
@@ -131,24 +131,24 @@ fn one_table_can_claim_the_whole_shared_cache() {
 #[test]
 fn shared_pvcache_reduces_predictor_traffic_vs_dedicated_split() {
     let runner = Runner::new(Scale::Smoke, 4);
-    let rows = cohabit::rows_for(&runner, &[WorkloadId::Qry1]);
+    let pairs = cohabit::comparison().on(&[WorkloadId::Qry1]).pairs(&runner);
     let ideal = |config: &str| {
-        rows.iter()
-            .find(|r| r.config == config && r.variant.ends_with("ideal"))
+        pairs
+            .iter()
+            .find(|p| p.run.configuration == config && p.spec.hierarchy.label().ends_with("ideal"))
             .expect("row present")
     };
     let dedicated = ideal("SMS+Markov-2xPV4");
     let shared = ideal("SMS+Markov-shPV8");
+    let l2_predictor_requests = |pair: &Pair| pair.run.hierarchy.l2_requests.predictor;
     assert!(
-        shared.l2_predictor_requests < dedicated.l2_predictor_requests,
+        l2_predictor_requests(shared) < l2_predictor_requests(dedicated),
         "pooling the PVCache must cut predictor L2 traffic ({} vs {})",
-        shared.l2_predictor_requests,
-        dedicated.l2_predictor_requests
+        l2_predictor_requests(shared),
+        l2_predictor_requests(dedicated)
     );
     // The capacity flowed to the hot table: Markov's hit rate rises.
-    let hit = |row: &cohabit::CohabitRow, label: &str| {
-        row.tables.iter().find(|t| t.label == label).unwrap().stats.pvcache_hit_ratio()
-    };
+    let hit = |pair: &Pair, label: &str| cohabit::table(pair, label).stats.pvcache_hit_ratio();
     assert!(
         hit(shared, "Markov") > hit(dedicated, "Markov"),
         "the shared cache must serve the hot table better ({:.3} vs {:.3})",
@@ -156,18 +156,18 @@ fn shared_pvcache_reduces_predictor_traffic_vs_dedicated_split() {
         hit(dedicated, "Markov")
     );
     // Both tables are genuinely served simultaneously.
-    for row in [dedicated, shared] {
-        for table in &row.tables {
+    for pair in [dedicated, shared] {
+        for table in &pair.run.pv_tables {
             assert!(
                 table.stats.lookups > 0,
                 "{}: {} starved",
-                row.config,
+                pair.run.configuration,
                 table.label
             );
             assert!(
                 table.stats.stores > 0,
                 "{}: {} never stored",
-                row.config,
+                pair.run.configuration,
                 table.label
             );
         }
@@ -208,14 +208,17 @@ fn queued_cohabitation_reports_per_table_queue_delays() {
 #[test]
 fn cohabiting_prefetchers_still_cover_misses_and_speed_up_scans() {
     let runner = Runner::new(Scale::Smoke, 4);
-    let rows = cohabit::rows_for(&runner, &[WorkloadId::Qry1]);
-    for row in rows.iter().filter(|r| r.variant.ends_with("ideal")) {
-        assert!(row.coverage > 0.2, "{}: scan coverage too low", row.config);
+    let pairs = cohabit::comparison().on(&[WorkloadId::Qry1]).pairs(&runner);
+    for pair in pairs.iter().filter(|p| p.spec.hierarchy.label().ends_with("ideal")) {
+        let config = &pair.run.configuration;
         assert!(
-            row.speedup > 0.0,
-            "{}: cohabiting prefetchers must beat NoPrefetch on Qry1 (got {:.3})",
-            row.config,
-            row.speedup
+            pair.run.coverage.coverage() > 0.2,
+            "{config}: scan coverage too low"
+        );
+        assert!(
+            pair.speedup() > 0.0,
+            "{config}: cohabiting prefetchers must beat NoPrefetch on Qry1 (got {:.3})",
+            pair.speedup()
         );
     }
 }

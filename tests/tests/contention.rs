@@ -2,8 +2,22 @@
 //! bandwidth-sensitivity acceptance invariant and the split of queueing
 //! delay into application and predictor traffic.
 
-use pv_experiments::{bandwidth, Runner, Scale};
+use pv_experiments::bandwidth::{self, cycles_per_transfer};
+use pv_experiments::{Pair, Runner, Scale};
 use pv_workloads::WorkloadId;
+
+/// The bandwidth sweep on the scan query.
+fn qry1_pairs(runner: &Runner) -> Vec<Pair> {
+    bandwidth::comparison().on(&[WorkloadId::Qry1]).pairs(runner)
+}
+
+fn app_queue_cycles(pair: &Pair) -> u64 {
+    pair.run.hierarchy.dram_queue_delay.application_cycles()
+}
+
+fn pv_queue_cycles(pair: &Pair) -> u64 {
+    pair.run.hierarchy.dram_queue_delay.predictor_cycles()
+}
 
 /// Acceptance invariant of the contention refactor: as configured DRAM
 /// bandwidth decreases (cycles per transfer grows), the measured queueing
@@ -12,31 +26,31 @@ use pv_workloads::WorkloadId;
 #[test]
 fn queueing_delay_rises_monotonically_as_bandwidth_falls() {
     let runner = Runner::new(Scale::Smoke, 4);
-    let rows = bandwidth::rows_for(&runner, &[WorkloadId::Qry1]);
+    let pairs = qry1_pairs(&runner);
     for config in ["SMS-1K-11a", "SMS-PV8"] {
-        let mut sweep: Vec<&bandwidth::BandwidthRow> =
-            rows.iter().filter(|row| row.config == config).collect();
-        sweep.sort_by_key(|row| row.cycles_per_transfer);
+        let mut sweep: Vec<&Pair> =
+            pairs.iter().filter(|p| p.run.configuration == config).collect();
+        sweep.sort_by_key(|p| cycles_per_transfer(p));
         assert_eq!(sweep.len(), bandwidth::cycles_per_transfer_sweep().len());
         for pair in sweep.windows(2) {
             assert!(
-                pair[0].app_queue_cycles < pair[1].app_queue_cycles,
+                app_queue_cycles(pair[0]) < app_queue_cycles(pair[1]),
                 "{config}: application queueing must grow as bandwidth falls \
                  (cpt {} -> {}: {} -> {})",
-                pair[0].cycles_per_transfer,
-                pair[1].cycles_per_transfer,
-                pair[0].app_queue_cycles,
-                pair[1].app_queue_cycles
+                cycles_per_transfer(pair[0]),
+                cycles_per_transfer(pair[1]),
+                app_queue_cycles(pair[0]),
+                app_queue_cycles(pair[1])
             );
             if config == "SMS-PV8" {
                 assert!(
-                    pair[0].pv_queue_cycles < pair[1].pv_queue_cycles,
+                    pv_queue_cycles(pair[0]) < pv_queue_cycles(pair[1]),
                     "{config}: predictor queueing must grow as bandwidth falls \
                      (cpt {} -> {}: {} -> {})",
-                    pair[0].cycles_per_transfer,
-                    pair[1].cycles_per_transfer,
-                    pair[0].pv_queue_cycles,
-                    pair[1].pv_queue_cycles
+                    cycles_per_transfer(pair[0]),
+                    cycles_per_transfer(pair[1]),
+                    pv_queue_cycles(pair[0]),
+                    pv_queue_cycles(pair[1])
                 );
             }
         }
@@ -46,34 +60,35 @@ fn queueing_delay_rises_monotonically_as_bandwidth_falls() {
 #[test]
 fn predictor_traffic_queues_only_in_virtualized_runs() {
     let runner = Runner::new(Scale::Smoke, 4);
-    let rows = bandwidth::rows_for(&runner, &[WorkloadId::Qry1]);
-    for row in &rows {
-        if row.config == "SMS-PV8" {
+    for pair in &qry1_pairs(&runner) {
+        if pair.run.configuration == "SMS-PV8" {
             assert!(
-                row.pv_queue_cycles > 0,
+                pv_queue_cycles(pair) > 0,
                 "virtualized runs must observe predictor-class queueing at cpt {}",
-                row.cycles_per_transfer
+                cycles_per_transfer(pair)
             );
         } else {
             assert_eq!(
-                row.pv_queue_cycles, 0,
+                pv_queue_cycles(pair),
+                0,
                 "dedicated-table runs have no predictor traffic to queue"
             );
         }
-        assert!(row.app_queue_cycles > 0);
-        assert!(row.dram_utilization > 0.0);
+        assert!(app_queue_cycles(pair) > 0);
+        assert!(pair.run.dram_utilization() > 0.0);
     }
 }
 
 #[test]
 fn contention_erodes_the_virtualized_advantage_first() {
     let runner = Runner::new(Scale::Smoke, 4);
-    let rows = bandwidth::rows_for(&runner, &[WorkloadId::Qry1]);
+    let pairs = qry1_pairs(&runner);
     let speedup = |config: &str, cpt: u64| {
-        rows.iter()
-            .find(|row| row.config == config && row.cycles_per_transfer == cpt)
+        pairs
+            .iter()
+            .find(|p| p.run.configuration == config && cycles_per_transfer(p) == cpt)
             .expect("row present")
-            .speedup
+            .speedup()
     };
     let sweep = bandwidth::cycles_per_transfer_sweep();
     let fastest = sweep[0];

@@ -8,24 +8,29 @@
 //! workload. The flip side — an accurate predictor must ride through the
 //! feedback loop essentially untouched — is checked on the scan query.
 
-use pv_experiments::bandwidth::cycles_per_transfer_sweep;
-use pv_experiments::{throttle, Runner, Scale};
+use pv_experiments::bandwidth::{cycles_per_transfer, cycles_per_transfer_sweep};
+use pv_experiments::throttle::{self, accuracy, max_level};
+use pv_experiments::{Pair, Runner, Scale};
 use pv_workloads::WorkloadId;
 
-/// One (fixed, throttled) row pair of the sweep.
-fn pair_at(
-    rows: &[throttle::ThrottleRow],
-    workload: &str,
-    cycles_per_transfer: u64,
-) -> (throttle::ThrottleRow, throttle::ThrottleRow) {
-    let mut pair = rows
+/// One (fixed, throttled) pair of runs at one point of the sweep.
+fn pair_at<'a>(pairs: &'a [Pair], workload: &str, cpt: u64) -> (&'a Pair, &'a Pair) {
+    let mut pair = pairs
         .iter()
-        .filter(|row| row.workload == workload && row.cycles_per_transfer == cycles_per_transfer);
-    let fixed = pair.next().expect("fixed-degree row present").clone();
-    let throttled = pair.next().expect("throttled row present").clone();
-    assert!(!fixed.config.ends_with("-throttled"));
-    assert!(throttled.config.ends_with("-throttled"));
+        .filter(|p| p.workload() == workload && cycles_per_transfer(p) == cpt);
+    let fixed = pair.next().expect("fixed-degree row present");
+    let throttled = pair.next().expect("throttled row present");
+    assert!(!fixed.run.configuration.ends_with("-throttled"));
+    assert!(throttled.run.configuration.ends_with("-throttled"));
     (fixed, throttled)
+}
+
+fn pv_queue_cycles(pair: &Pair) -> u64 {
+    pair.run.hierarchy.dram_queue_delay.predictor_cycles()
+}
+
+fn app_queue_cycles(pair: &Pair) -> u64 {
+    pair.run.hierarchy.dram_queue_delay.application_cycles()
 }
 
 /// The pinned acceptance property at the scarcest `cycles_per_transfer`
@@ -34,38 +39,37 @@ fn pair_at(
 #[test]
 fn throttling_recovers_ipc_and_cuts_predictor_queue_delay_when_bandwidth_is_scarce() {
     let runner = Runner::with_default_threads(Scale::Smoke);
-    let rows = throttle::rows_for(&runner, &[WorkloadId::Apache]);
+    let pairs = throttle::comparison().on(&[WorkloadId::Apache]).pairs(&runner);
     let scarcest = *cycles_per_transfer_sweep().last().expect("non-empty sweep");
-    let (fixed, throttled) = pair_at(&rows, "Apache", scarcest);
+    let (fixed, throttled) = pair_at(&pairs, "Apache", scarcest);
 
     assert!(
-        throttled.max_level > 0 && throttled.dropped_prefetches > 0,
+        max_level(&throttled.run) > 0 && throttled.run.dropped_prefetches() > 0,
         "Apache's misprediction rate must engage the throttle"
     );
     assert!(
-        throttled.accuracy < 0.70,
+        accuracy(&throttled.run) < 0.70,
         "the experiment's premise: Apache prefetches are inaccurate \
          (measured {:.2})",
-        throttled.accuracy
+        accuracy(&throttled.run)
     );
     assert!(
-        throttled.pv_queue_cycles < fixed.pv_queue_cycles,
+        pv_queue_cycles(throttled) < pv_queue_cycles(fixed),
         "throttling must strictly reduce predictor DRAM queue delay at the \
          scarcest point ({} vs {})",
-        throttled.pv_queue_cycles,
-        fixed.pv_queue_cycles
+        pv_queue_cycles(throttled),
+        pv_queue_cycles(fixed)
     );
+    let (fixed_ipc, throttled_ipc) = (fixed.run.aggregate_ipc(), throttled.run.aggregate_ipc());
     assert!(
-        throttled.ipc >= fixed.ipc,
+        throttled_ipc >= fixed_ipc,
         "throttling must match or beat fixed-degree IPC at the scarcest \
-         point ({:.4} vs {:.4})",
-        throttled.ipc,
-        fixed.ipc
+         point ({throttled_ipc:.4} vs {fixed_ipc:.4})"
     );
     // The mechanism, not just the outcome: the win comes from suppressing
     // useless traffic, so the demand stream must also wait less.
-    assert!(throttled.prefetches_issued < fixed.prefetches_issued);
-    assert!(throttled.app_queue_cycles < fixed.app_queue_cycles);
+    assert!(throttled.run.prefetches_issued < fixed.run.prefetches_issued);
+    assert!(app_queue_cycles(throttled) < app_queue_cycles(fixed));
 }
 
 /// An accurate predictor stays inside the dead band: the throttled variant
@@ -73,20 +77,20 @@ fn throttling_recovers_ipc_and_cuts_predictor_queue_delay_when_bandwidth_is_scar
 #[test]
 fn accurate_predictors_ride_through_the_feedback_loop() {
     let runner = Runner::with_default_threads(Scale::Smoke);
-    let rows = throttle::rows_for(&runner, &[WorkloadId::Qry1]);
+    let pairs = throttle::comparison().on(&[WorkloadId::Qry1]).pairs(&runner);
     let fastest = cycles_per_transfer_sweep()[0];
-    let (fixed, throttled) = pair_at(&rows, "Qry1", fastest);
+    let (fixed, throttled) = pair_at(&pairs, "Qry1", fastest);
 
     assert!(
-        throttled.accuracy > 0.80,
+        accuracy(&throttled.run) > 0.80,
         "the scan query predicts accurately (measured {:.2})",
-        throttled.accuracy
+        accuracy(&throttled.run)
     );
     assert!(
-        fixed.speedup > 0.25,
+        fixed.speedup() > 0.25,
         "fixed-degree prefetching must pay off at full bandwidth"
     );
-    let retained = (1.0 + throttled.speedup) / (1.0 + fixed.speedup);
+    let retained = (1.0 + throttled.speedup()) / (1.0 + fixed.speedup());
     assert!(
         retained > 0.95,
         "an accurate stream must keep its speedup under the feedback loop \
@@ -95,11 +99,11 @@ fn accurate_predictors_ride_through_the_feedback_loop() {
     );
     // Only a sliver of its predictions may be dropped.
     assert!(
-        throttled.dropped_prefetches * 20 < fixed.prefetches_issued,
+        throttled.run.dropped_prefetches() * 20 < fixed.run.prefetches_issued,
         "under 5% of an accurate stream's prefetches may be dropped \
          ({} of {})",
-        throttled.dropped_prefetches,
-        fixed.prefetches_issued
+        throttled.run.dropped_prefetches(),
+        fixed.run.prefetches_issued
     );
 }
 
@@ -110,25 +114,28 @@ fn accurate_predictors_ride_through_the_feedback_loop() {
 #[test]
 fn throttle_rows_are_internally_consistent_across_the_sweep() {
     let runner = Runner::with_default_threads(Scale::Smoke);
-    let rows = throttle::rows(&runner);
+    let pairs = throttle::comparison().pairs(&runner);
     assert_eq!(
-        rows.len(),
+        pairs.len(),
         2 * 2 * cycles_per_transfer_sweep().len(),
         "two workloads x two configs per sweep point"
     );
-    for row in &rows {
-        if row.config.ends_with("-throttled") {
-            assert!(row.accuracy > 0.0, "throttled runs sample accuracy");
+    for pair in &pairs {
+        if pair.run.configuration.ends_with("-throttled") {
+            assert!(accuracy(&pair.run) > 0.0, "throttled runs sample accuracy");
         } else {
-            assert_eq!(row.dropped_prefetches, 0);
-            assert_eq!(row.max_level, 0);
+            assert_eq!(pair.run.dropped_prefetches(), 0);
+            assert_eq!(max_level(&pair.run), 0);
         }
-        assert!(row.next_line_issued > 0, "next-line counters are surfaced");
+        assert!(
+            pair.run.next_line_issued() > 0,
+            "next-line counters are surfaced"
+        );
     }
     for &workload in &["Qry1", "Apache"] {
         for &cpt in &cycles_per_transfer_sweep() {
-            let (fixed, throttled) = pair_at(&rows, workload, cpt);
-            assert!(throttled.prefetches_issued <= fixed.prefetches_issued);
+            let (fixed, throttled) = pair_at(&pairs, workload, cpt);
+            assert!(throttled.run.prefetches_issued <= fixed.run.prefetches_issued);
         }
     }
 }
