@@ -552,8 +552,9 @@ mod tests {
         let first_b = proxy.set_address(1, 0).raw();
         assert!(last_a < first_b);
         // Both tables classify as predictor data.
-        assert!(mem.dram().is_predictor_address(proxy.set_address(0, 0)));
-        assert!(mem.dram().is_predictor_address(proxy.set_address(1, 1023)));
+        let regions = mem.config().pv_regions;
+        assert!(regions.contains(proxy.set_address(0, 0)));
+        assert!(regions.contains(proxy.set_address(1, 1023)));
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! completes pays the residual latency ("late prefetch").
 
 use crate::address::BlockAddr;
-use crate::block::LineState;
 use crate::config::CacheConfig;
 use crate::set_assoc::SetAssociative;
 use crate::stats::CacheStats;
@@ -42,11 +41,12 @@ pub enum HitLevel {
     Memory,
 }
 
-/// Per-line metadata stored in the tag array.
+/// Per-line metadata stored in the tag array, which alone tracks presence.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct LineMeta {
-    state: LineState,
+    dirty: bool,
     ready_at: u64,
+    /// Installed by a prefetch and not yet referenced by a demand access.
     prefetched_unused: bool,
 }
 
@@ -157,7 +157,7 @@ impl Cache {
             let first_use_of_prefetch = line.prefetched_unused;
             line.prefetched_unused = false;
             if kind == AccessKind::Write {
-                line.state = LineState::Dirty;
+                line.dirty = true;
             }
             match kind {
                 AccessKind::Read => self.stats.read_hits += 1,
@@ -209,11 +209,7 @@ impl Cache {
             self.stats.prefetch_fills += 1;
         }
         let meta = LineMeta {
-            state: if dirty {
-                LineState::Dirty
-            } else {
-                LineState::Clean
-            },
+            dirty,
             ready_at,
             prefetched_unused: origin == FillOrigin::Prefetch,
         };
@@ -223,12 +219,12 @@ impl Cache {
             if occ.value.prefetched_unused {
                 self.stats.prefetched_evicted_unused += 1;
             }
-            if occ.value.state.is_dirty() {
+            if occ.value.dirty {
                 self.stats.writebacks += 1;
             }
             Evicted {
                 block: victim_block,
-                dirty: occ.value.state.is_dirty(),
+                dirty: occ.value.dirty,
                 prefetched_unused: occ.value.prefetched_unused,
             }
         })
@@ -243,7 +239,7 @@ impl Cache {
             }
             Evicted {
                 block,
-                dirty: meta.state.is_dirty(),
+                dirty: meta.dirty,
                 prefetched_unused: meta.prefetched_unused,
             }
         })

@@ -4,12 +4,13 @@
 //! Virtualization (PV) reproduction: physical addresses and cache-block
 //! arithmetic, generic set-associative arrays with packed LRU replacement
 //! (every cache the paper models is LRU), L1/L2 cache models with
-//! write-back/write-allocate semantics, MSHR files, a DRAM model with
-//! reserved PV regions, and a multi-core [`MemoryHierarchy`] that ties the
-//! pieces together and keeps the per-requester traffic statistics the
-//! paper's evaluation reports (L1 read misses, L2 requests, L2 misses, L2
-//! write-backs, off-chip traffic split into application vs. predictor
-//! data).
+//! write-back/write-allocate semantics, MSHR files, a DRAM model, and a
+//! multi-core [`MemoryHierarchy`] that ties the pieces together and keeps
+//! the per-requester traffic statistics the paper's evaluation reports (L1
+//! read misses, L2 requests, L2 misses, L2 write-backs, off-chip traffic
+//! split into application vs. predictor data). The hierarchy alone decides
+//! which blocks lie in the reserved PV regions; the DRAM model counts each
+//! access under the class it is handed.
 //!
 //! The model is *cycle-approximate*: every access returns the latency it
 //! would have observed (tag/data latencies per level plus DRAM latency on a
@@ -49,7 +50,6 @@
 
 pub mod accuracy;
 pub mod address;
-pub mod block;
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
@@ -63,7 +63,6 @@ pub mod stats;
 
 pub use accuracy::{AccuracySample, AccuracyWindow};
 pub use address::{Address, BlockAddr, RegionAddr, BLOCK_BYTES, BLOCK_OFFSET_BITS};
-pub use block::{CacheLine, LineState};
 pub use cache::{AccessKind, AccessOutcome, Cache, Evicted, FillOrigin, HitLevel};
 pub use config::{CacheConfig, ContentionModel, DramConfig, HierarchyConfig, PvRegionConfig};
 pub use hierarchy::{

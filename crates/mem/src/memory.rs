@@ -1,6 +1,8 @@
-//! Main-memory (DRAM) model with reserved PV regions.
+//! Main-memory (DRAM) model.
 //!
-//! Two timing modes share one traffic-accounting core:
+//! Every access arrives already classified as application or predictor data
+//! (the hierarchy owns the PV-region classifier), so the model only counts
+//! it under that class. Two timing modes share one traffic-accounting core:
 //!
 //! * [`ContentionModel::Ideal`] — every access costs the configured latency;
 //!   this reproduces the original fixed-latency model bit for bit.
@@ -15,7 +17,7 @@
 //!   traffic.
 
 use crate::address::{Address, BLOCK_OFFSET_BITS};
-use crate::config::{ContentionModel, DramConfig, PvRegionConfig};
+use crate::config::{ContentionModel, DramConfig};
 use crate::inflight::InflightRing;
 use crate::stats::{DelayBreakdown, TrafficBreakdown};
 
@@ -45,7 +47,6 @@ struct ChannelState {
 #[derive(Debug, Clone)]
 pub struct MainMemory {
     config: DramConfig,
-    pv_regions: PvRegionConfig,
     contention: ContentionModel,
     channels: Vec<ChannelState>,
     reads: TrafficBreakdown,
@@ -61,11 +62,7 @@ impl MainMemory {
     ///
     /// Panics if the queued-model geometry is degenerate (zero channels,
     /// banks or queue depth).
-    pub fn new(
-        config: DramConfig,
-        pv_regions: PvRegionConfig,
-        contention: ContentionModel,
-    ) -> Self {
+    pub fn new(config: DramConfig, contention: ContentionModel) -> Self {
         assert!(config.channels > 0, "DRAM needs at least one channel");
         assert!(
             config.banks_per_channel > 0,
@@ -81,7 +78,6 @@ impl MainMemory {
             .collect();
         MainMemory {
             config,
-            pv_regions,
             contention,
             channels,
             reads: TrafficBreakdown::default(),
@@ -91,53 +87,21 @@ impl MainMemory {
         }
     }
 
-    /// Unloaded access latency in cycles.
-    pub fn latency(&self) -> u64 {
-        self.config.latency
-    }
-
-    /// The contention model this memory runs under.
-    pub fn contention(&self) -> ContentionModel {
-        self.contention
-    }
-
-    /// Whether `addr` belongs to a reserved predictor region.
-    pub fn is_predictor_address(&self, addr: Address) -> bool {
-        self.pv_regions.contains(addr)
-    }
-
-    /// Performs a block read issued at cycle `now`.
-    pub fn read(&mut self, addr: Address, now: u64) -> DramResponse {
-        let predictor = self.is_predictor_address(addr);
-        self.read_classified(addr, predictor, now)
-    }
-
-    /// Performs a block read whose PV-region classification the caller has
-    /// already computed (`predictor` must equal
-    /// [`Self::is_predictor_address`] for `addr`). The hierarchy resolves
-    /// the region once per request and threads the result through the
-    /// miss/writeback/eviction chain instead of re-deriving it here.
-    pub fn read_classified(&mut self, addr: Address, predictor: bool, now: u64) -> DramResponse {
-        debug_assert_eq!(predictor, self.is_predictor_address(addr));
+    /// Performs a block read issued at cycle `now`, counted as predictor
+    /// data when `predictor` is set.
+    pub fn read(&mut self, addr: Address, predictor: bool, now: u64) -> DramResponse {
         self.reads.record(predictor);
         self.service(addr, now, predictor, true)
     }
 
-    /// Performs a block write (write-back) issued at cycle `now`. The
-    /// requester does not wait for writes, but in `Queued` mode they occupy
-    /// banks, queue slots and data-bus cycles like reads do, so write-back
-    /// bursts slow concurrent reads down. Because nobody waits on them,
-    /// their computed wait is *not* added to the reported queueing-delay
-    /// statistics — only to the shared timing state.
-    pub fn write(&mut self, addr: Address, now: u64) -> DramResponse {
-        let predictor = self.is_predictor_address(addr);
-        self.write_classified(addr, predictor, now)
-    }
-
-    /// Performs a block write with a caller-computed PV-region
-    /// classification; see [`Self::read_classified`].
-    pub fn write_classified(&mut self, addr: Address, predictor: bool, now: u64) -> DramResponse {
-        debug_assert_eq!(predictor, self.is_predictor_address(addr));
+    /// Performs a block write (write-back) issued at cycle `now`, counted as
+    /// predictor data when `predictor` is set. The requester does not wait
+    /// for writes, but in `Queued` mode they occupy banks, queue slots and
+    /// data-bus cycles like reads do, so write-back bursts slow concurrent
+    /// reads down. Because nobody waits on them, their computed wait is
+    /// *not* added to the reported queueing-delay statistics — only to the
+    /// shared timing state.
+    pub fn write(&mut self, addr: Address, predictor: bool, now: u64) -> DramResponse {
         self.writes.record(predictor);
         self.service(addr, now, predictor, false)
     }
@@ -232,48 +196,36 @@ impl MainMemory {
             channel.inflight.clear();
         }
     }
-
-    /// The PV-region configuration this memory was built with.
-    pub fn pv_regions(&self) -> PvRegionConfig {
-        self.pv_regions
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::PvRegionConfig;
 
     fn memory() -> MainMemory {
-        MainMemory::new(
-            DramConfig::paper(),
-            PvRegionConfig::paper_default(4),
-            ContentionModel::Ideal,
-        )
+        MainMemory::new(DramConfig::paper(), ContentionModel::Ideal)
     }
 
     fn queued(config: DramConfig) -> MainMemory {
-        MainMemory::new(
-            config,
-            PvRegionConfig::paper_default(4),
-            ContentionModel::Queued,
-        )
+        MainMemory::new(config, ContentionModel::Queued)
     }
 
     #[test]
     fn ideal_read_and_write_cost_configured_latency() {
         let mut mem = memory();
-        assert_eq!(mem.read(Address::new(0x1000), 0).latency, 400);
-        assert_eq!(mem.write(Address::new(0x2000), 50).latency, 400);
+        assert_eq!(mem.read(Address::new(0x1000), false, 0).latency, 400);
+        assert_eq!(mem.write(Address::new(0x2000), false, 50).latency, 400);
         assert_eq!(mem.queue_delay().total_cycles(), 0);
     }
 
     #[test]
     fn traffic_is_classified_by_region() {
         let mut mem = memory();
-        let pv_base = mem.pv_regions().core_base(0);
-        mem.read(Address::new(0x1000), 0);
-        mem.read(pv_base, 0);
-        mem.write(pv_base, 0);
+        let pv_base = PvRegionConfig::paper_default(4).core_base(0);
+        mem.read(Address::new(0x1000), false, 0);
+        mem.read(pv_base, true, 0);
+        mem.write(pv_base, true, 0);
         assert_eq!(mem.reads().application, 1);
         assert_eq!(mem.reads().predictor, 1);
         assert_eq!(mem.writes().predictor, 1);
@@ -283,7 +235,7 @@ mod tests {
     #[test]
     fn reset_clears_counters() {
         let mut mem = memory();
-        mem.read(Address::new(0), 0);
+        mem.read(Address::new(0), false, 0);
         mem.reset_stats();
         assert_eq!(mem.reads().total(), 0);
         assert_eq!(mem.writes().total(), 0);
@@ -293,7 +245,7 @@ mod tests {
     #[test]
     fn queued_single_access_pays_unloaded_latency() {
         let mut mem = queued(DramConfig::paper());
-        let response = mem.read(Address::new(0x4000), 100);
+        let response = mem.read(Address::new(0x4000), false, 100);
         assert_eq!(response.latency, 400);
         assert_eq!(response.queue_delay, 0);
     }
@@ -305,7 +257,7 @@ mod tests {
         // serialize transfers, so later requests observe growing latency.
         let mut last = 0;
         for i in 0..64u64 {
-            let response = mem.read(Address::new(i * 64), 0);
+            let response = mem.read(Address::new(i * 64), false, 0);
             last = last.max(response.latency);
         }
         assert!(
@@ -327,9 +279,9 @@ mod tests {
         let mut mem = queued(config);
         // Two requests fill the queue; the third must wait for a slot, which
         // frees when the first request completes.
-        let first = mem.read(Address::new(0), 0);
-        mem.read(Address::new(64), 0);
-        let third = mem.read(Address::new(128), 0);
+        let first = mem.read(Address::new(0), false, 0);
+        mem.read(Address::new(64), false, 0);
+        let third = mem.read(Address::new(128), false, 0);
         assert!(
             third.queue_delay >= first.latency,
             "third request must wait at least until the first drains \
@@ -345,7 +297,7 @@ mod tests {
             let mut mem = queued(DramConfig::paper().with_cycles_per_transfer(cycles_per_transfer));
             for i in 0..256u64 {
                 // A steady stream faster than the bus can drain.
-                mem.read(Address::new(i * 64), i * 2);
+                mem.read(Address::new(i * 64), false, i * 2);
             }
             mem.queue_delay().total_cycles()
         };
@@ -362,7 +314,7 @@ mod tests {
     fn queued_writes_consume_bandwidth() {
         let mut mem = queued(DramConfig::paper());
         let before = mem.busy_cycles();
-        mem.write(Address::new(0x9000), 0);
+        mem.write(Address::new(0x9000), false, 0);
         assert_eq!(
             mem.busy_cycles() - before,
             DramConfig::paper().cycles_per_transfer

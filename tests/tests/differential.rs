@@ -176,7 +176,7 @@ fn queued_dram_service_matches_the_reference_inflight_queue() {
     for seed in 0..4u64 {
         for config in &geometries {
             let regions = PvRegionConfig::paper_default(4);
-            let mut mem = MainMemory::new(*config, regions, ContentionModel::Queued);
+            let mut mem = MainMemory::new(*config, ContentionModel::Queued);
             let mut reference = ReferenceDram::new(*config);
             let mut rng = StdRng::seed_from_u64(0xD3A1_0000 ^ (seed << 8));
             let mut now = 0u64;
@@ -189,10 +189,11 @@ fn queued_dram_service_matches_the_reference_inflight_queue() {
                 } else {
                     Address::new(rng.gen_range(0u64..1 << 30))
                 };
+                let predictor = regions.contains(addr);
                 let response = if rng.gen_bool(0.8) {
-                    mem.read(addr, now)
+                    mem.read(addr, predictor, now)
                 } else {
-                    mem.write(addr, now)
+                    mem.write(addr, predictor, now)
                 };
                 let (latency, queue_delay) = reference.service(addr, now);
                 assert_eq!(
