@@ -11,7 +11,7 @@ use pv_core::PvRegionPlan;
 use pv_markov::MarkovPrefetcher;
 use pv_mem::{DataClass, EvictionBuffer, MemoryHierarchy, Requester};
 use pv_sms::{build_storage, PrefetchAction, SmsPrefetcher, VirtualizedPht};
-use pv_workloads::{AccessStream, MemOp, TraceGenerator, TraceRecord, WorkloadParams};
+use pv_workloads::{AccessStream, MemOp, RunAhead, TraceGenerator, TraceRecord, WorkloadParams};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -19,7 +19,8 @@ use std::collections::BinaryHeap;
 struct CoreState {
     id: usize,
     /// The core's record source — any [`AccessStream`]: a live synthetic
-    /// generator, a replayed trace, or a non-stationary scenario stream.
+    /// generator (run ahead on a helper thread), a replayed trace, or a
+    /// non-stationary scenario stream.
     stream: Box<dyn AccessStream>,
     model: CoreModel,
     /// The core's data-prefetch engine — any [`PrefetchEngine`]: SMS,
@@ -111,6 +112,12 @@ impl System {
     /// replayed traces, and scenario compositions all arrive here. Finite
     /// streams end the owning core's run cleanly when they dry up.
     ///
+    /// Each stream that is [worth running
+    /// ahead](AccessStream::worth_running_ahead) is wrapped in a
+    /// [`RunAhead`]: from its first record on, it is produced on a helper
+    /// thread of its own, at most one per core, joined when the system is
+    /// dropped. The records, and so every result, are the same either way.
+    ///
     /// # Panics
     ///
     /// Panics if `config` fails validation or if `streams.len()` does not
@@ -135,6 +142,11 @@ impl System {
             .enumerate()
             .map(|(core, stream)| {
                 let engine = Self::build_prefetcher(&config, core);
+                let stream = if stream.worth_running_ahead() {
+                    Box::new(RunAhead::new(stream))
+                } else {
+                    stream
+                };
                 CoreState {
                     id: core,
                     stream,
@@ -892,7 +904,9 @@ mod scheduler_tests {
     /// A stream that appends its core id to a shared log on every
     /// `next_record`. `step_core` pulls exactly one record per step (the
     /// pull that finds a stream exhausted included), so the log is the
-    /// system's step order.
+    /// system's step order. It must keep the in-thread default of
+    /// [`AccessStream::worth_running_ahead`]: run ahead, it would log the
+    /// helper's chunk fills instead of the steps.
     struct Logged {
         core: u32,
         inner: Box<dyn AccessStream>,
@@ -929,7 +943,7 @@ mod scheduler_tests {
     }
 
     /// A small config for `cores` cores so the differential sweeps stay fast.
-    fn config(cores: usize, prefetcher: PrefetcherKind, seed: u64) -> SimConfig {
+    pub(super) fn config(cores: usize, prefetcher: PrefetcherKind, seed: u64) -> SimConfig {
         let mut config = SimConfig::quick(prefetcher);
         config.cores = cores;
         config.hierarchy = HierarchyConfig::paper_baseline(cores);
@@ -975,7 +989,7 @@ mod scheduler_tests {
     }
 
     /// One generator stream per core, each core on its own workload.
-    fn generator_streams(config: &SimConfig) -> Vec<Box<dyn AccessStream>> {
+    pub(super) fn generator_streams(config: &SimConfig) -> Vec<Box<dyn AccessStream>> {
         let rotation = [
             workloads::qry1(),
             workloads::apache(),
@@ -1088,5 +1102,70 @@ mod scheduler_tests {
                 })
                 .collect()
         });
+    }
+}
+
+/// Running live generators ahead on helper threads must not change a run:
+/// the same generators, kept in-thread behind a stream that does not ask to
+/// run ahead, give byte-identical results.
+#[cfg(test)]
+mod run_ahead_tests {
+    use super::scheduler_tests::{config, generator_streams};
+    use super::*;
+    use pv_mem::ContentionModel;
+
+    /// A stream with the in-thread default: `System` never runs it ahead.
+    struct InThread(Box<dyn AccessStream>);
+
+    impl AccessStream for InThread {
+        fn next_record(&mut self) -> Option<TraceRecord> {
+            self.0.next_record()
+        }
+
+        fn label(&self) -> &str {
+            self.0.label()
+        }
+    }
+
+    #[test]
+    fn run_ahead_generators_match_in_thread_generators() {
+        let kinds = [
+            PrefetcherKind::None,
+            PrefetcherKind::sms_1k_11a(),
+            PrefetcherKind::sms_pv8(),
+            PrefetcherKind::markov_pv8(),
+            PrefetcherKind::composite_shared(8),
+        ];
+        for cores in 1..=8 {
+            for (k, kind) in kinds.iter().enumerate() {
+                for contention in [ContentionModel::Ideal, ContentionModel::Queued] {
+                    let mut config = config(cores, kind.clone(), 41 + (cores * 10 + k) as u64);
+                    // Short windows keep the 80 pairs fast; each core still
+                    // reads about a dozen chunks.
+                    config.warmup_records = 1_000;
+                    config.measure_records = 2_000;
+                    config.hierarchy = config.hierarchy.with_contention(contention);
+                    if kind.pv_bytes_per_core() > 0 {
+                        config.hierarchy =
+                            config.hierarchy.with_pv_bytes_per_core(kind.pv_bytes_per_core());
+                    }
+                    let live = generator_streams(&config);
+                    assert!(live.iter().all(|stream| stream.worth_running_ahead()));
+                    let mut ahead = System::from_streams(config.clone(), live);
+                    let in_thread = generator_streams(&config)
+                        .into_iter()
+                        .map(|stream| Box::new(InThread(stream)) as Box<dyn AccessStream>)
+                        .collect();
+                    let mut reference = System::from_streams(config, in_thread);
+                    let label = format!("{} on {cores} cores, {contention:?}", kind.label());
+                    assert_eq!(ahead.run().digest(), reference.run().digest(), "{label}");
+                    assert!(
+                        ahead.records_consumed().eq(reference.records_consumed()),
+                        "{label}"
+                    );
+                    assert!(ahead.exhausted().eq(reference.exhausted()), "{label}");
+                }
+            }
+        }
     }
 }

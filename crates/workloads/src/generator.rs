@@ -142,6 +142,15 @@ impl TraceGenerator {
         let region_sampler = ZipfSampler::new(params.data_regions, params.region_zipf);
         let code_sampler = ZipfSampler::new(params.code_blocks, 0.6);
 
+        // Buffers sized for their largest possible contents keep the
+        // generator allocation-free from its first record: a generation
+        // visits each of its at most `BLOCKS_PER_REGION` blocks at most
+        // `⌊accesses_per_block⌋ + 1` times, and one refill queues at most
+        // one fetch per instruction (`⌊instr_per_mem⌋ + 2`) plus its data
+        // access.
+        let generation_len =
+            BLOCKS_PER_REGION as usize * (params.accesses_per_block.floor() as usize + 1);
+        let refill_len = params.instr_per_mem.floor() as usize + 3;
         let mut generator = TraceGenerator {
             params: params.clone(),
             rng,
@@ -157,11 +166,11 @@ impl TraceGenerator {
             current_code_block: 0,
             bytes_into_block: 0,
             last_fetched_block: None,
-            queue: VecDeque::new(),
+            queue: VecDeque::with_capacity(refill_len),
             records_emitted: 0,
         };
         for _ in 0..generator.params.active_generations {
-            let generation = generator.new_generation(Vec::new());
+            let generation = generator.new_generation(Vec::with_capacity(generation_len));
             generator.active.push(generation);
         }
         generator
@@ -191,7 +200,8 @@ impl TraceGenerator {
 
     /// Starts a new spatial-region generation, building its access order
     /// in `offsets` (cleared first): handing a finished generation's buffer
-    /// back in keeps the steady-state generator allocation-free.
+    /// back in, sized at construction for the longest generation, keeps the
+    /// generator allocation-free.
     fn new_generation(&mut self, mut offsets: Vec<u32>) -> ActiveGeneration {
         let context_idx = self.context_sampler.sample(&mut self.rng);
         let region_idx = self.region_sampler.sample(&mut self.rng) as u64;

@@ -46,6 +46,6 @@ pub mod zipf;
 pub use generator::TraceGenerator;
 pub use params::WorkloadParams;
 pub use record::{MemOp, TraceRecord};
-pub use stream::{AccessStream, TakeStream};
+pub use stream::{AccessStream, RunAhead, TakeStream};
 pub use workloads::{paper_workloads, WorkloadId};
 pub use zipf::ZipfSampler;

@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use pv_mem::{AccessKind, ContentionModel, EvictionBuffer, HierarchyConfig, MemoryHierarchy};
 use pv_sim::{PrefetcherKind, SimConfig, System};
 use pv_trace::{record_generator, ReplayStream};
-use pv_workloads::{workloads, AccessStream};
+use pv_workloads::{paper_workloads, workloads, AccessStream, TraceGenerator};
 
 /// Counts every allocation and reallocation; frees are not interesting.
 struct CountingAlloc;
@@ -69,10 +69,30 @@ fn hot_paths_do_not_allocate() {
         "the L1-hit access path must not heap-allocate"
     );
 
+    // --- Live generators: every buffer is sized at construction, so a
+    // fresh generator allocates nothing from its first record on.
+    for (_, params) in paper_workloads() {
+        let mut generator = TraceGenerator::new(&params, 7, 1);
+        let before = allocations();
+        let mut addresses = 0u64;
+        for record in (&mut generator).take(100_000) {
+            addresses = addresses.wrapping_add(record.address);
+        }
+        assert!(addresses > 0);
+        let grew = allocations() - before;
+        assert_eq!(
+            grew, 0,
+            "the {} generator allocated {grew} times",
+            params.name
+        );
+    }
+
     // --- Whole-system steady state: with replayed traces (decode from a
-    // borrowed byte slice, no per-record work in the generator) a warmed-up
+    // borrowed byte slice) and with live generators (run ahead on helper
+    // threads, whose allocations this allocator counts too) a warmed-up
     // scheduling phase must reuse every buffer — event heap, targets,
-    // action scratch, AGT update, eviction scratch — and allocate nothing.
+    // action scratch, AGT update, eviction scratch, chunk buffers — and
+    // allocate nothing.
     // Queued contention exercises extra hot-path machinery the Ideal runs
     // never touch — L2 port scalars, MSHR backpressure waits, and the
     // per-channel DRAM in-flight rings (fixed-capacity since PR 10, so the
@@ -80,13 +100,14 @@ fn hot_paths_do_not_allocate() {
     // the proxy path: PVCache fills and write-backs move residency metadata
     // only, so they must not allocate either.
     let phase = 10_000u64;
+    let kinds = [
+        PrefetcherKind::None,
+        PrefetcherKind::sms_1k_11a(),
+        PrefetcherKind::sms_pv8(),
+        PrefetcherKind::markov_pv8(),
+    ];
     for contention in [ContentionModel::Ideal, ContentionModel::Queued] {
-        for kind in [
-            PrefetcherKind::None,
-            PrefetcherKind::sms_1k_11a(),
-            PrefetcherKind::sms_pv8(),
-            PrefetcherKind::markov_pv8(),
-        ] {
+        for (kind, live) in kinds.iter().flat_map(|kind| [(kind, false), (kind, true)]) {
             // Window sizes are irrelevant here — `run_records` drives phases
             // directly — but validation requires a non-empty measurement
             // window.
@@ -94,27 +115,34 @@ fn hot_paths_do_not_allocate() {
             config.warmup_records = 0;
             config.measure_records = 1;
             config.hierarchy = config.hierarchy.with_contention(contention);
+            let params = workloads::qry1();
             let streams: Vec<Box<dyn AccessStream>> = (0..config.cores)
-                .map(|core| {
-                    let bytes =
-                        record_generator(&workloads::qry1(), config.seed, core as u32, 3 * phase)
-                            .expect("records fit the default layout");
+                .map(|core| -> Box<dyn AccessStream> {
+                    if live {
+                        return Box::new(TraceGenerator::new(&params, config.seed, core));
+                    }
+                    let bytes = record_generator(&params, config.seed, core as u32, 3 * phase)
+                        .expect("records fit the default layout");
                     Box::new(ReplayStream::new(bytes).expect("valid trace"))
-                        as Box<dyn AccessStream>
                 })
                 .collect();
             let mut system = System::from_streams(config, streams);
             // The first phases grow scratch capacities to their high-water
-            // marks (heap, targets, actions, AGT update, accuracy backlogs).
+            // marks (heap, targets, actions, AGT update, accuracy backlogs)
+            // and start the helpers. The simulation thread waits in each
+            // core's channel for that core's first chunk, so the one-time
+            // allocation of a thread's first wait in a std channel falls
+            // here too.
             system.run_records(phase);
             system.run_records(phase);
             let before = allocations();
             system.run_records(phase);
             let grew = allocations() - before;
+            let source = if live { "live" } else { "replayed" };
             assert_eq!(
                 grew, 0,
-                "a warmed-up {contention:?} phase must be allocation-free \
-                 ({kind:?}: {grew} allocations)"
+                "a warmed-up {contention:?} phase over {source} streams must be \
+                 allocation-free ({kind:?}: {grew} allocations)"
             );
         }
     }
